@@ -7,7 +7,6 @@ from .allocation import (
     SQL_MODEL,
     TABLE_HQL,
     TABLE_SQL,
-    allocation_sweep,
     calibrated_tone,
     continuous_optimum,
     fit_loglog,
@@ -35,6 +34,7 @@ from .measurement import (
     ReadoutModel,
     acquire_ensemble_hql,
     acquire_ensemble_sql,
+    acquire_single_instant_hql,
     estimate_phase,
     photon_shot_noise,
     read_ensemble_csv,

@@ -35,7 +35,6 @@ __all__ = [
     "validate_paper_tables",
     "fit_loglog",
     "run_scaling_experiment",
-    "allocation_sweep",
     "statistical_error_curve",
     "calibrated_tone",
 ]
@@ -199,12 +198,15 @@ def calibrated_tone(p: SensorParams, t_s: float, period_T: float,
     return WaveformSpec.harmonic(period_T, amplitude, harmonic=harmonic)
 
 
-def _acquire(scheme: str, w, p, m, n1, n2, t_s):
-    if scheme == "sql":
-        return acquire_ensemble_sql(w, p, m, n1, n2, t_s)
-    if scheme == "hql":
-        return acquire_ensemble_hql(w, p, m, n1, n2, t_s)
-    raise ValueError(f"unknown scheme {scheme!r}")
+def _monte_carlo(scheme: str, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
+                 n1: int, n2: int, t_s: float, key: int, seeds: int, score) -> np.ndarray:
+    """score(ensemble) for seeds s = 0 .. seeds-1, each acquired with the
+    readout model with_seed(m, key, s)."""
+    acquire = {"sql": acquire_ensemble_sql, "hql": acquire_ensemble_hql}.get(scheme)
+    if acquire is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    return np.array([score(acquire(w, p, with_seed(m, key, s), n1, n2, t_s))
+                     for s in range(seeds)])
 
 
 def run_scaling_experiment(scheme: str, N_list, w: WaveformSpec, p: SensorParams,
@@ -241,11 +243,10 @@ def run_scaling_experiment(scheme: str, N_list, w: WaveformSpec, p: SensorParams
             if alloc is None:
                 raise ValueError(f"N={N} admits no even-n2 allocation")
             _, n1, n2 = alloc
-        deltas = np.empty(seeds)
-        for s in range(seeds):
-            ms = with_seed(m, N, s)
-            ens = _acquire(scheme, w, p_run, ms, n1, n2, t_s)
-            deltas[s] = math.sqrt(recon_error_sq(reconstruct(ens), w, p_run, t_s))
+        deltas = _monte_carlo(
+            scheme, w, p_run, m, n1, n2, t_s, N, seeds,
+            lambda ens: math.sqrt(recon_error_sq(reconstruct(ens), w, p_run, t_s)),
+        )
         rows.append({
             "N": int(N), "n1": n1, "n2": n2,
             "delta": float(deltas.mean()),
@@ -255,29 +256,6 @@ def run_scaling_experiment(scheme: str, N_list, w: WaveformSpec, p: SensorParams
     if len(rows) >= 3:
         slope, _, _ = fit_loglog([(r["N"], r["delta"]) for r in rows])
     return rows, slope
-
-
-def allocation_sweep(scheme: str, N: int, w: WaveformSpec, p: SensorParams,
-                     m: ReadoutModel, seeds: int = 50, t_s: float = 150e-9,
-                     decoherence: bool = True):
-    """Simulated delta for every feasible divisor split of a fixed budget N."""
-    p_run = p if decoherence else p.without_decoherence()
-    rows = []
-    for n1, n2 in sorted(_divisor_pairs(N)):
-        if scheme == "hql" and (n2 < 2 or n2 % 2 != 0):
-            continue
-        if scheme == "sql" and n1 * (t_s + 2 * p.t_pi) > w.period_T:
-            continue
-        deltas = np.empty(seeds)
-        try:
-            for s in range(seeds):
-                ms = with_seed(m, n1, s)
-                ens = _acquire(scheme, w, p_run, ms, n1, n2, t_s)
-                deltas[s] = math.sqrt(recon_error_sq(reconstruct(ens), w, p_run, t_s))
-        except Exception:
-            continue
-        rows.append({"n1": n1, "n2": n2, "delta": float(deltas.mean())})
-    return rows
 
 
 def statistical_error_curve(scheme: str, n2_list, w: WaveformSpec, p: SensorParams,
@@ -291,11 +269,8 @@ def statistical_error_curve(scheme: str, n2_list, w: WaveformSpec, p: SensorPara
     p_run = p if decoherence else p.without_decoherence()
     out = []
     for n2 in n2_list:
-        phi_bars = np.empty((seeds, n1))
-        for s in range(seeds):
-            ms = with_seed(m, n2, s)
-            ens = _acquire(scheme, w, p_run, ms, n1, int(n2), t_s)
-            phi_bars[s] = ens.estimates.mean(axis=1)
+        phi_bars = _monte_carlo(scheme, w, p_run, m, n1, int(n2), t_s, n2, seeds,
+                                lambda ens: ens.estimates.mean(axis=1))
         delta_stat = float(np.sqrt(phi_bars.var(axis=0, ddof=1).mean()))
         out.append((int(n2), delta_stat))
     return out

@@ -24,7 +24,7 @@ from .allocation import (
     SQL_MODEL,
     TABLE_HQL,
     TABLE_SQL,
-    allocation_sweep,
+    calibrated_tone,
     optimize_exact,
     paper_rule_sql,
     run_scaling_experiment,
@@ -36,6 +36,7 @@ from .estimator import decompose_error, phase_truth, reconstruct
 from .measurement import (
     acquire_ensemble_hql,
     acquire_ensemble_sql,
+    acquire_single_instant_hql,
     read_ensemble_csv,
     write_ensemble_csv,
 )
@@ -97,7 +98,6 @@ def cmd_simulate(args) -> int:
         k = args.k or int(cfg.protocol.get("k", 1))
         n_batches = args.seeds or int(cfg.experiment.get("seeds", 1))
         if args.t_i is not None:
-            from .measurement import acquire_single_instant_hql
             ens = acquire_single_instant_hql(w, p, m, k, args.t_i, t_s,
                                              n_batches=n_batches)
         else:
@@ -147,10 +147,8 @@ def cmd_allocate(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg = _load(args)
-    from .allocation import calibrated_tone
     t_s = float(cfg.experiment.get("t_s", 150e-9))
-    period = cfg.waveform.period_T if cfg.waveform is not None else 9.6e-6
-    w = cfg.waveform or calibrated_tone(cfg.sensor, t_s, period)
+    w = cfg.waveform or calibrated_tone(cfg.sensor, t_s, 9.6e-6)
     budgets = cfg.experiment.get("budgets") or [
         N for N, _, _ in (TABLE_SQL if args.scheme == "sql" else TABLE_HQL)
     ]
@@ -226,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="YAML config file")
         sp.add_argument("--seed", type=int, default=None, help="root RNG seed")
         sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads (affects speed only, never results)")
         sp.add_argument("--deterministic", action="store_true",
                         help="suppress timestamps in metadata")
 

@@ -70,7 +70,7 @@ def _build_waveform(data: dict) -> WaveformSpec:
 _SENSOR_KEYS = {
     "gamma_e": "gamma_e", "t2_star": "T2_star", "t2": "T2",
     "contrast": "contrast_C", "rabi_freq": "rabi_freq", "t_pi": "t_pi",
-    "photon_rate_bright": "photon_rate_bright", "snr_ref": "snr_ref",
+    "snr_ref": "snr_ref",
 }
 
 _READOUT_KEYS = {
@@ -133,7 +133,7 @@ def load_config(path) -> ExperimentConfig:
         cfg.readout = _build_readout(raw["readout"] or {})
     if "protocol" in raw:
         cfg.protocol = _validated_dict("protocol", raw["protocol"] or {},
-                                       {"kind", "k", "t_s", "t_i"})
+                                       {"kind", "k", "t_s"})
         if "kind" in cfg.protocol:
             try:
                 Protocol(cfg.protocol["kind"])
@@ -144,7 +144,7 @@ def load_config(path) -> ExperimentConfig:
     if "experiment" in raw:
         cfg.experiment = _validated_dict(
             "experiment", raw["experiment"] or {},
-            {"scheme", "budgets", "seeds", "t_s", "decoherence", "allocator"},
+            {"budgets", "seeds", "t_s", "allocator"},
         )
     if "output" in raw:
         cfg.output = str(raw["output"])

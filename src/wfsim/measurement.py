@@ -24,10 +24,11 @@ from .sensor import (
     Protocol,
     ProtocolConfig,
     SensorParams,
+    _check_window,
+    _protocol_envelope,
     envelope_pdd,
     envelope_ramsey,
     phase_exact,
-    signal,
 )
 from .waveform import SampleGrid, WaveformSpec, integrate, make_grid
 
@@ -40,6 +41,7 @@ __all__ = [
     "estimate_phase",
     "acquire_ensemble_sql",
     "acquire_ensemble_hql",
+    "acquire_single_instant_hql",
     "write_ensemble_csv",
     "read_ensemble_csv",
 ]
@@ -140,24 +142,14 @@ def photon_shot_noise(m: ReadoutModel, p: SensorParams, shots: int = 1) -> float
     return math.sqrt((1.0 - p.contrast_C / 2.0) / mean_photons)
 
 
-def _gaussian_sigma(m: ReadoutModel, shots: int | None = None) -> float:
-    shots = m.shots_R if shots is None else shots
-    return m.sigma_ref * math.sqrt(SHOTS_REF / shots)
-
-
-def _poisson_sigma(m: ReadoutModel, p: SensorParams, shots: int | None = None) -> float:
-    shots = m.shots_R if shots is None else shots
-    c = p.contrast_C
-    return math.sqrt(4.0 * (1.0 - c / 2.0) / (c**2 * m.photons_per_shot_bright * shots))
-
-
 def quadrature_noise_std(m: ReadoutModel, p: SensorParams) -> float:
     """Per-quadrature standard deviation of a simulated readout."""
     if m.noise_mode == "none":
         return 0.0
     if m.noise_mode == "gaussian":
-        return _gaussian_sigma(m)
-    return _poisson_sigma(m, p)
+        return m.sigma_ref * math.sqrt(SHOTS_REF / m.shots_R)
+    c = p.contrast_C
+    return math.sqrt(4.0 * (1.0 - c / 2.0) / (c**2 * m.photons_per_shot_bright * m.shots_R))
 
 
 def _noisy_signal(s_true: np.ndarray, m: ReadoutModel, p: SensorParams,
@@ -167,7 +159,7 @@ def _noisy_signal(s_true: np.ndarray, m: ReadoutModel, p: SensorParams,
     if m.noise_mode == "none":
         return s_true.copy()
     if m.noise_mode == "gaussian":
-        sigma = sigma_scale * _gaussian_sigma(m)
+        sigma = sigma_scale * quadrature_noise_std(m, p)
         return s_true + sigma * rng.standard_normal(s_true.shape)
     # Poisson photon counting: bright-state probability (1 + s)/2,
     # fluorescence mean n_b (1 - C (1 - p_bright)) per shot
@@ -188,43 +180,55 @@ def simulate_readout(s_true: float, m: ReadoutModel, p: SensorParams,
     return float(_noisy_signal(np.asarray(s_true), m, p, rng))
 
 
-def _wrap_estimate(x_hat, y_hat, kind: Protocol):
-    """atan2-based total-phase estimate, branch nearest to zero."""
-    if kind is Protocol.TDQD:
-        # X carries sin, Y carries cos
-        return np.arctan2(x_hat, y_hat)
-    return np.arctan2(y_hat, x_hat)
+def _phase_gain(kind: Protocol, k: int, m: ReadoutModel) -> tuple[float, float]:
+    """Accumulated phase per unit differential phase, and quadrature-noise scale."""
+    if kind is Protocol.RAMSEY_SQL:
+        # one Ramsey pass accumulates half the differential phase; the
+        # Gaussian calibration is anchored to per-resource noise in the
+        # differential convention, so the doubled estimate gets half the
+        # quadrature noise
+        return 0.5, (0.5 if m.noise_mode == "gaussian" else 1.0)
+    return 2 * k, 1.0
+
+
+def _acquire(kind: Protocol, phases, env: float, k: int, n_cols: int, m: ReadoutModel,
+             p: SensorParams, rng: np.random.Generator) -> np.ndarray:
+    """n_cols noisy two-quadrature readouts per window phase, inverted by atan2
+    back to the differential convention: a (len(phases), n_cols) matrix."""
+    if env < ENVELOPE_FLOOR:
+        raise DecoheredSignalError(
+            f"{kind.value} envelope {env:.3g} below {ENVELOPE_FLOOR:g} at k={k}: "
+            "signal fully decohered"
+        )
+    gain, scale = _phase_gain(kind, k, m)
+    big_phi = gain * np.asarray(phases, dtype=float)
+    cos_q = env * np.cos(big_phi)[:, None] * np.ones((1, n_cols))
+    sin_q = env * np.sin(big_phi)[:, None] * np.ones((1, n_cols))
+    # tdqd carries sin on X and cos on Y, the other protocols the reverse
+    sin_on_x = kind is Protocol.TDQD
+    noisy = _noisy_signal(np.stack([sin_q, cos_q] if sin_on_x else [cos_q, sin_q], axis=-1),
+                          m, p, rng, sigma_scale=scale)
+    x_hat, y_hat = noisy[..., 0], noisy[..., 1]
+    return (np.arctan2(x_hat, y_hat) if sin_on_x else np.arctan2(y_hat, x_hat)) / gain
 
 
 def estimate_phase(w: WaveformSpec, p: SensorParams, c: ProtocolConfig,
                    m: ReadoutModel, rng: np.random.Generator | None = None) -> PhaseEstimate:
-    """Simulate both quadratures and invert them to a per-sample phase.
+    """Simulate both quadratures of the window [t_i, t_i + t_s] and invert
+    them to a phase in the differential convention.
 
     Dynamic range: the total accumulated phase must stay within one
     atan2 branch (|Phi| < pi); beyond it the estimate wraps and biases.
     """
     if rng is None:
         rng = np.random.default_rng(m.seed)
-    from .sensor import _protocol_envelope
+    _check_window(p, c)
     env = _protocol_envelope(p, c)
-    if env < ENVELOPE_FLOOR:
-        raise DecoheredSignalError(
-            f"envelope {env:.3g} below {ENVELOPE_FLOOR:g}: signal fully decohered"
-        )
-    x = signal(w, p, c, "X")
-    y = signal(w, p, c, "Y")
-    # the Gaussian calibration is anchored to per-resource noise in the
-    # differential phase convention; a single-pass Ramsey estimate gets
-    # doubled downstream, so inject half the quadrature noise here
-    scale = 0.5 if (c.kind is Protocol.RAMSEY_SQL and m.noise_mode == "gaussian") else 1.0
-    x_hat, y_hat = _noisy_signal(np.array([x, y]), m, p, rng, sigma_scale=scale)
-    big_phi = float(_wrap_estimate(x_hat, y_hat, c.kind))
-    sigma = scale * quadrature_noise_std(m, p)
-    if c.kind is Protocol.RAMSEY_SQL:
-        return PhaseEstimate(phi_hat=big_phi, std_err=sigma / env, resources_n2=1)
-    return PhaseEstimate(phi_hat=big_phi / (2 * c.k),
-                         std_err=sigma / (env * 2 * c.k),
-                         resources_n2=2 * c.k)
+    phi = phase_exact(w, p, c.t_i, c.t_s)
+    phi_hat = float(_acquire(c.kind, [phi], env, c.k, 1, m, p, rng)[0, 0])
+    gain, scale = _phase_gain(c.kind, c.k, m)
+    return PhaseEstimate(phi_hat=phi_hat, resources_n2=c.n2,
+                         std_err=scale * quadrature_noise_std(m, p) / (env * gain))
 
 
 def _ensemble_rng(seed: int) -> np.random.Generator:
@@ -233,13 +237,22 @@ def _ensemble_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
-def _centered_window_phases(w: WaveformSpec, p: SensorParams, grid: SampleGrid,
+def _centered_window_phases(w: WaveformSpec, p: SensorParams, instants,
                             t_s: float) -> np.ndarray:
     """Exact differential phase with the sampling window centered on each t_i."""
     return np.array([
         -2.0 * p.gamma_e * integrate(w, t_i - t_s / 2.0, t_i + t_s / 2.0)
-        for t_i in grid.instants
+        for t_i in instants
     ])
+
+
+def _ensemble(kind: Protocol, grid: SampleGrid, n2: int, t_s: float,
+              estimates: np.ndarray, m: ReadoutModel, **meta) -> PhaseEnsemble:
+    meta = {"seed": m.seed, "protocol": kind.value, "t_s": t_s,
+            "noise_mode": m.noise_mode, "shots_R": m.shots_R, **meta}
+    return PhaseEnsemble(n1=grid.n1, n2=n2, estimates=estimates, grid=grid, t_s=t_s,
+                         protocol=kind.value, collapsed=kind is not Protocol.RAMSEY_SQL,
+                         meta=meta)
 
 
 def acquire_ensemble_sql(w: WaveformSpec, p: SensorParams, m: ReadoutModel,
@@ -256,18 +269,10 @@ def acquire_ensemble_sql(w: WaveformSpec, p: SensorParams, m: ReadoutModel,
     if n2 < 1:
         raise ValueError(f"n2 must be >= 1, got {n2}")
     grid = make_grid(T, n1)
-    phi1 = 0.5 * _centered_window_phases(w, p, grid, t_s)  # single-pass Ramsey phase
-    env = envelope_ramsey(p, t_s)
-    x = env * np.cos(phi1)[:, None] * np.ones((1, n2))
-    y = env * np.sin(phi1)[:, None] * np.ones((1, n2))
-    rng = _ensemble_rng(m.seed)
-    scale = 0.5 if m.noise_mode == "gaussian" else 1.0
-    noisy = _noisy_signal(np.stack([x, y], axis=-1), m, p, rng, sigma_scale=scale)
-    estimates = 2.0 * np.arctan2(noisy[..., 1], noisy[..., 0])
-    meta = {"seed": m.seed, "protocol": "ramsey-sql", "t_s": t_s,
-            "noise_mode": m.noise_mode, "shots_R": m.shots_R}
-    return PhaseEnsemble(n1=n1, n2=n2, estimates=estimates, grid=grid,
-                         t_s=t_s, protocol="ramsey-sql", collapsed=False, meta=meta)
+    phases = _centered_window_phases(w, p, grid.instants, t_s)
+    estimates = _acquire(Protocol.RAMSEY_SQL, phases, envelope_ramsey(p, t_s), 1, n2,
+                         m, p, _ensemble_rng(m.seed))
+    return _ensemble(Protocol.RAMSEY_SQL, grid, n2, t_s, estimates, m)
 
 
 def acquire_ensemble_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel,
@@ -283,25 +288,13 @@ def acquire_ensemble_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel,
         raise ValueError(f"n2 must be an even integer >= 2, got {n2}")
     if n_batches < 1:
         raise ValueError(f"n_batches must be >= 1, got {n_batches}")
-    T = w.period_T
     k = n2 // 2
-    grid = make_grid(T, n1)
-    env = envelope_pdd(p, k, t_s, T)
-    if env < ENVELOPE_FLOOR:
-        raise DecoheredSignalError(
-            f"pdd envelope {env:.3g} below {ENVELOPE_FLOOR:g} at k={k}"
-        )
-    phi = _centered_window_phases(w, p, grid, t_s)
-    big_phi = 2 * k * phi
-    x = env * np.cos(big_phi)[:, None] * np.ones((1, n_batches))
-    y = env * np.sin(big_phi)[:, None] * np.ones((1, n_batches))
-    rng = _ensemble_rng(m.seed)
-    noisy = _noisy_signal(np.stack([x, y], axis=-1), m, p, rng)
-    estimates = np.arctan2(noisy[..., 1], noisy[..., 0]) / (2 * k)
-    meta = {"seed": m.seed, "protocol": "pdd-tdqd", "t_s": t_s, "k": k,
-            "n_batches": n_batches, "noise_mode": m.noise_mode, "shots_R": m.shots_R}
-    return PhaseEnsemble(n1=n1, n2=n2, estimates=estimates, grid=grid,
-                         t_s=t_s, protocol="pdd-tdqd", collapsed=True, meta=meta)
+    grid = make_grid(w.period_T, n1)
+    phases = _centered_window_phases(w, p, grid.instants, t_s)
+    estimates = _acquire(Protocol.PDD_TDQD, phases, envelope_pdd(p, k, t_s, w.period_T), k,
+                         n_batches, m, p, _ensemble_rng(m.seed))
+    return _ensemble(Protocol.PDD_TDQD, grid, n2, t_s, estimates, m,
+                     k=k, n_batches=n_batches)
 
 
 def acquire_single_instant_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel,
@@ -310,22 +303,11 @@ def acquire_single_instant_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel
     """k-pass decoupled estimates at one chosen instant (one-bin grid)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    T = w.period_T
-    env = envelope_pdd(p, k, t_s, T)
-    if env < ENVELOPE_FLOOR:
-        raise DecoheredSignalError(f"pdd envelope {env:.3g} below {ENVELOPE_FLOOR:g}")
-    phi = -2.0 * p.gamma_e * integrate(w, t_i - t_s / 2.0, t_i + t_s / 2.0)
-    big_phi = 2 * k * phi
-    rng = _ensemble_rng(m.seed)
-    x = env * np.cos(big_phi) * np.ones((1, n_batches))
-    y = env * np.sin(big_phi) * np.ones((1, n_batches))
-    noisy = _noisy_signal(np.stack([x, y], axis=-1), m, p, rng)
-    estimates = np.arctan2(noisy[..., 1], noisy[..., 0]) / (2 * k)
-    meta = {"seed": m.seed, "protocol": "pdd-tdqd", "t_s": t_s, "k": k,
-            "t_i": t_i, "n_batches": n_batches, "noise_mode": m.noise_mode,
-            "shots_R": m.shots_R}
-    return PhaseEnsemble(n1=1, n2=2 * k, estimates=estimates, grid=make_grid(T, 1),
-                         t_s=t_s, protocol="pdd-tdqd", collapsed=True, meta=meta)
+    phases = _centered_window_phases(w, p, [t_i], t_s)
+    estimates = _acquire(Protocol.PDD_TDQD, phases, envelope_pdd(p, k, t_s, w.period_T), k,
+                         n_batches, m, p, _ensemble_rng(m.seed))
+    return _ensemble(Protocol.PDD_TDQD, make_grid(w.period_T, 1), 2 * k, t_s, estimates, m,
+                     k=k, t_i=t_i, n_batches=n_batches)
 
 
 def write_ensemble_csv(e: PhaseEnsemble, path, deterministic: bool = False) -> None:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -49,12 +49,11 @@ class SensorParams:
     contrast_C: float = 0.25
     rabi_freq: float = 10e6
     t_pi: float = 50e-9
-    photon_rate_bright: float = 50e3
     snr_ref: float = 50.0
 
     def __post_init__(self):
         for name in ("gamma_e", "T2_star", "T2", "contrast_C", "rabi_freq",
-                     "t_pi", "photon_rate_bright", "snr_ref"):
+                     "t_pi", "snr_ref"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.contrast_C > 1:
@@ -68,7 +67,6 @@ class SensorParams:
 
     def without_decoherence(self) -> "SensorParams":
         """Copy with both decay times set to infinity."""
-        from dataclasses import replace
         return replace(self, T2_star=math.inf, T2=math.inf)
 
 
@@ -182,15 +180,12 @@ def sensitivity(p: SensorParams, c: ProtocolConfig, sigma_read: float | None = N
     to the per-cycle photon shot noise of the default readout model.
     Returns inf when the envelope has fully decayed.
     """
-    if c.k < 1:
-        raise ValueError(f"k must be >= 1, got {c.k}")
     if sigma_read is None:
         from .measurement import ReadoutModel, photon_shot_noise
         sigma_read = photon_shot_noise(ReadoutModel(), p)
     env = _protocol_envelope(p, c)
-    n_pass = 1 if c.kind is Protocol.RAMSEY_SQL else 2 * c.k
-    dSdB = env * n_pass * 2.0 * p.gamma_e * c.t_s * p.contrast_C
-    t_cycle = n_pass * (c.T + c.t_s) + t_overhead
+    dSdB = env * c.n2 * 2.0 * p.gamma_e * c.t_s * p.contrast_C
+    t_cycle = c.n2 * (c.T + c.t_s) + t_overhead
     if dSdB <= 0 or not math.isfinite(dSdB) or env < 1e-300:
         return math.inf
     return (sigma_read / dSdB) * math.sqrt(t_cycle)

@@ -52,10 +52,15 @@ class TestConfig:
         assert cfg.protocol["k"] == 7
 
     def test_unknown_key_rejected(self, tmp_path):
+        # keys that no code would read are rejected like misspelled ones
         path = tmp_path / "bad.yaml"
-        path.write_text("sensor:\n  t2_star: 5.2e-6\n  bogus: 1\n")
-        with pytest.raises(ConfigError):
-            load_config(path)
+        for section, key in [("sensor", "bogus"), ("sensor", "photon_rate_bright"),
+                             ("experiment", "scheme"), ("experiment", "decoherence"),
+                             ("protocol", "t_i")]:
+            path.write_text(f"{section}:\n  {key}: 1\n")
+            with pytest.raises(ConfigError, match=key):
+                load_config(path)
+            assert main(["holder", "--config", str(path)]) == 2
 
     def test_unknown_section_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

@@ -13,6 +13,7 @@ from wfsim import (
     WaveformSpec,
     acquire_ensemble_hql,
     acquire_ensemble_sql,
+    acquire_single_instant_hql,
     estimate_phase,
     phase_exact,
     photon_shot_noise,
@@ -93,13 +94,25 @@ class TestEstimatePhase:
     def cfg(self, k=15, t_i=450e-9, t_s=300e-9, kind=Protocol.PDD_TDQD):
         return ProtocolConfig(kind, k=k, t_s=t_s, T=T_FIG2, t_i=t_i)
 
-    def test_noiseless_recovers_exact_phase(self):
+    @pytest.mark.parametrize("kind", list(Protocol), ids=lambda k: k.value)
+    def test_noiseless_recovers_exact_phase(self, kind):
+        # every protocol reports the differential convention of phase_exact
         w = WaveformSpec.harmonic(T_FIG2, 0.3e-9)
         m = ReadoutModel(noise_mode="none")
-        c = self.cfg()
+        c = self.cfg(kind=kind)
         est = estimate_phase(w, P_INF, c, m)
         assert est.phi_hat == pytest.approx(phase_exact(w, P_INF, c.t_i, c.t_s), rel=1e-10)
-        assert est.resources_n2 == 30
+        assert est.resources_n2 == (1 if kind is Protocol.RAMSEY_SQL else 30)
+
+    @pytest.mark.parametrize("mode", ["gaussian", "poisson"])
+    def test_ramsey_std_err_matches_spread(self, mode):
+        w = WaveformSpec.harmonic(T_FIG2, 0.3e-9)
+        c = self.cfg(kind=Protocol.RAMSEY_SQL)
+        m = ReadoutModel(noise_mode=mode)
+        rng = np.random.default_rng(5)
+        ests = [estimate_phase(w, P_INF, c, m, rng=rng) for _ in range(2000)]
+        spread = np.std([e.phi_hat for e in ests], ddof=1)
+        assert spread == pytest.approx(ests[0].std_err, rel=0.1)
 
     def test_zero_field_zero_phase(self):
         w = WaveformSpec.from_table(T_FIG2, [0.0, T_FIG2], [0.0, 0.0])
@@ -181,6 +194,14 @@ class TestEnsembles:
         for i, t_i in enumerate(ens.grid.instants):
             expected = phase_exact(w, P_INF, t_i - 75e-9, 150e-9)
             assert ens.estimates[i] == pytest.approx(expected, rel=1e-10)
+
+    def test_single_instant_matches_one_bin_ensemble(self):
+        # the one-bin grid's instant is T/2, so both paths read the same window
+        w, m = tone(0.2e-9), ReadoutModel(seed=4)
+        single = acquire_single_instant_hql(w, P, m, k=7, t_i=T_FIG4 / 2, t_s=150e-9,
+                                            n_batches=5)
+        ens = acquire_ensemble_hql(w, P, m, n1=1, n2=14, t_s=150e-9, n_batches=5)
+        assert np.array_equal(single.estimates, ens.estimates)
 
     def test_same_seed_bit_identical(self):
         a = acquire_ensemble_sql(tone(), P, ReadoutModel(seed=5), 8, 8, 150e-9)
