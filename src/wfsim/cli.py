@@ -96,13 +96,16 @@ def cmd_simulate(args) -> int:
         if kind != Protocol.PDD_TDQD.value:
             raise ConfigError(f"simulate supports 'ramsey-sql' or 'pdd-tdqd', got {kind!r}")
         k = args.k or int(cfg.protocol.get("k", 1))
+        n2 = args.n2 or int(cfg.grid.get("n2", 2 * k))
+        if n2 != 2 * k:
+            raise ConfigError(f"{kind} uses n2 = 2k = {2 * k} resources, got n2 = {n2}")
         n_batches = args.seeds or int(cfg.experiment.get("seeds", 1))
         if args.t_i is not None:
             ens = acquire_single_instant_hql(w, p, m, k, args.t_i, t_s,
                                              n_batches=n_batches)
         else:
             n1 = args.n1 or int(cfg.grid.get("n1", 8))
-            ens = acquire_ensemble_hql(w, p, m, n1, 2 * k, t_s, n_batches=n_batches)
+            ens = acquire_ensemble_hql(w, p, m, n1, n2, t_s, n_batches=n_batches)
     path = out / "ensemble.csv"
     write_ensemble_csv(ens, path, deterministic=args.deterministic)
     log.info("wrote %s (%d x %d)", path, ens.n1, ens.estimates.shape[1])

@@ -70,7 +70,6 @@ def _build_waveform(data: dict) -> WaveformSpec:
 _SENSOR_KEYS = {
     "gamma_e": "gamma_e", "t2_star": "T2_star", "t2": "T2",
     "contrast": "contrast_C", "rabi_freq": "rabi_freq", "t_pi": "t_pi",
-    "snr_ref": "snr_ref",
 }
 
 _READOUT_KEYS = {

@@ -25,7 +25,9 @@ from .sensor import (
     ProtocolConfig,
     SensorParams,
     _check_window,
+    _phase_gain,
     _protocol_envelope,
+    _quadratures,
     envelope_pdd,
     envelope_ramsey,
     phase_exact,
@@ -51,11 +53,9 @@ ENVELOPE_FLOOR = 1e-6
 # repetition count the sigma_ref calibration is anchored to
 SHOTS_REF = 2_000_000
 
-
-def _default_photons_per_shot() -> float:
-    # chosen so that C * sqrt(shots_R * photons) = snr_ref at the defaults
-    p = SensorParams()
-    return (p.snr_ref / p.contrast_C) ** 2 / SHOTS_REF
+# bright-state photons per shot, chosen so that C * sqrt(SHOTS_REF * photons)
+# equals the reference single-point SNR of 50 at the default contrast C = 0.25
+DEFAULT_PHOTONS_PER_SHOT = (50.0 / 0.25) ** 2 / SHOTS_REF
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class ReadoutModel:
 
     shots_R: int = SHOTS_REF
     noise_mode: str = "gaussian"
-    photons_per_shot_bright: float = field(default_factory=_default_photons_per_shot)
+    photons_per_shot_bright: float = DEFAULT_PHOTONS_PER_SHOT
     seed: int = 0
     sigma_ref: float = 0.0555
 
@@ -180,15 +180,12 @@ def simulate_readout(s_true: float, m: ReadoutModel, p: SensorParams,
     return float(_noisy_signal(np.asarray(s_true), m, p, rng))
 
 
-def _phase_gain(kind: Protocol, k: int, m: ReadoutModel) -> tuple[float, float]:
-    """Accumulated phase per unit differential phase, and quadrature-noise scale."""
-    if kind is Protocol.RAMSEY_SQL:
-        # one Ramsey pass accumulates half the differential phase; the
-        # Gaussian calibration is anchored to per-resource noise in the
-        # differential convention, so the doubled estimate gets half the
-        # quadrature noise
-        return 0.5, (0.5 if m.noise_mode == "gaussian" else 1.0)
-    return 2 * k, 1.0
+def _noise_scale(kind: Protocol, m: ReadoutModel) -> float:
+    """Quadrature-noise scale of one readout."""
+    # one Ramsey pass accumulates half the differential phase; the Gaussian
+    # calibration is anchored to per-resource noise in the differential
+    # convention, so the doubled estimate gets half the quadrature noise
+    return 0.5 if kind is Protocol.RAMSEY_SQL and m.noise_mode == "gaussian" else 1.0
 
 
 def _acquire(kind: Protocol, phases, env: float, k: int, n_cols: int, m: ReadoutModel,
@@ -200,16 +197,14 @@ def _acquire(kind: Protocol, phases, env: float, k: int, n_cols: int, m: Readout
             f"{kind.value} envelope {env:.3g} below {ENVELOPE_FLOOR:g} at k={k}: "
             "signal fully decohered"
         )
-    gain, scale = _phase_gain(kind, k, m)
+    gain = _phase_gain(kind, k)
     big_phi = gain * np.asarray(phases, dtype=float)
-    cos_q = env * np.cos(big_phi)[:, None] * np.ones((1, n_cols))
-    sin_q = env * np.sin(big_phi)[:, None] * np.ones((1, n_cols))
-    # tdqd carries sin on X and cos on Y, the other protocols the reverse
-    sin_on_x = kind is Protocol.TDQD
-    noisy = _noisy_signal(np.stack([sin_q, cos_q] if sin_on_x else [cos_q, sin_q], axis=-1),
-                          m, p, rng, sigma_scale=scale)
-    x_hat, y_hat = noisy[..., 0], noisy[..., 1]
-    return (np.arctan2(x_hat, y_hat) if sin_on_x else np.arctan2(y_hat, x_hat)) / gain
+    x, y = _quadratures(kind, np.cos(big_phi), np.sin(big_phi))
+    s_true = np.broadcast_to((env * np.stack([x, y], axis=-1))[:, None, :],
+                             (len(x), n_cols, 2))
+    noisy = _noisy_signal(s_true, m, p, rng, sigma_scale=_noise_scale(kind, m))
+    cos_hat, sin_hat = _quadratures(kind, noisy[..., 0], noisy[..., 1])
+    return np.arctan2(sin_hat, cos_hat) / gain
 
 
 def estimate_phase(w: WaveformSpec, p: SensorParams, c: ProtocolConfig,
@@ -226,9 +221,9 @@ def estimate_phase(w: WaveformSpec, p: SensorParams, c: ProtocolConfig,
     env = _protocol_envelope(p, c)
     phi = phase_exact(w, p, c.t_i, c.t_s)
     phi_hat = float(_acquire(c.kind, [phi], env, c.k, 1, m, p, rng)[0, 0])
-    gain, scale = _phase_gain(c.kind, c.k, m)
-    return PhaseEstimate(phi_hat=phi_hat, resources_n2=c.n2,
-                         std_err=scale * quadrature_noise_std(m, p) / (env * gain))
+    std_err = (_noise_scale(c.kind, m) * quadrature_noise_std(m, p)
+               / (env * _phase_gain(c.kind, c.k)))
+    return PhaseEstimate(phi_hat=phi_hat, std_err=std_err, resources_n2=c.n2)
 
 
 def _ensemble_rng(seed: int) -> np.random.Generator:
@@ -340,15 +335,22 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
     n1, n_cols = meta["n1"], meta["n_cols"]
-    estimates = np.empty((n1, n_cols))
+    # cells no row fills stay NaN, which PhaseEnsemble rejects
+    estimates = np.full((n1, n_cols), np.nan)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
         if header != ["i", "j", "t_i_seconds", "phi_ij_rad"]:
             raise ValueError(f"unexpected ensemble CSV header: {header}")
-        for row in reader:
-            i, j = int(row[0]) - 1, int(row[1]) - 1
-            estimates[i, j] = float(row[3])
+        for i, j, _, phi in reader:
+            i, j = int(i), int(j)
+            if not (1 <= i <= n1 and 1 <= j <= n_cols):
+                raise ValueError(f"ensemble CSV line {reader.line_num}: cell ({i}, {j}) "
+                                 f"outside [1, {n1}] x [1, {n_cols}]")
+            estimates[i - 1, j - 1] = float(phi)
+        if reader.line_num - 1 != n1 * n_cols:
+            raise ValueError(f"ensemble CSV has {reader.line_num - 1} rows, "
+                             f"expected n1 * n_cols = {n1 * n_cols}")
     grid = make_grid(meta["period_T"], n1)
     return PhaseEnsemble(n1=n1, n2=meta["n2"], estimates=estimates, grid=grid,
                          t_s=meta["t_s"], protocol=meta["protocol"],

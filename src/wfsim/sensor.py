@@ -49,11 +49,9 @@ class SensorParams:
     contrast_C: float = 0.25
     rabi_freq: float = 10e6
     t_pi: float = 50e-9
-    snr_ref: float = 50.0
 
     def __post_init__(self):
-        for name in ("gamma_e", "T2_star", "T2", "contrast_C", "rabi_freq",
-                     "t_pi", "snr_ref"):
+        for name in ("gamma_e", "T2_star", "T2", "contrast_C", "rabi_freq", "t_pi"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         if self.contrast_C > 1:
@@ -145,22 +143,27 @@ def _check_window(p: SensorParams, c: ProtocolConfig):
         raise ValueError("t_s + 2*t_pi must fit within the waveform period")
 
 
+def _phase_gain(kind: Protocol, k: int) -> float:
+    """Accumulated phase per unit differential phase: one Ramsey pass
+    accumulates half of it, k differential passes 2k times it."""
+    return 0.5 if kind is Protocol.RAMSEY_SQL else 2 * k
+
+
+def _quadratures(kind: Protocol, cos, sin):
+    """(X, Y) readout order of an accumulated phase's cos and sin: tdqd reads
+    sin on X and cos on Y, the other protocols the reverse.  The order is a
+    swap or not, so the same call maps a read-out (X, Y) back to (cos, sin)."""
+    return (sin, cos) if kind is Protocol.TDQD else (cos, sin)
+
+
 def signal(w: WaveformSpec, p: SensorParams, c: ProtocolConfig, readout_quadrature: str = "X") -> float:
     """Noiseless sensor output in [-1, 1] for the given quadrature ("X" or "Y")."""
     if readout_quadrature not in ("X", "Y"):
         raise ValueError(f"quadrature must be 'X' or 'Y', got {readout_quadrature!r}")
     _check_window(p, c)
-    if c.kind is Protocol.RAMSEY_SQL:
-        phi1 = -p.gamma_e * integrate(w, c.t_i, c.t_i + c.t_s)
-        env = envelope_ramsey(p, c.t_s)
-        return env * (math.cos(phi1) if readout_quadrature == "X" else math.sin(phi1))
-    phi = phase_exact(w, p, c.t_i, c.t_s)
-    big_phi = 2 * c.k * phi
-    if c.kind is Protocol.TDQD:
-        env = envelope_tdqd(p, c.k, c.t_s, c.T)
-        return env * (math.sin(big_phi) if readout_quadrature == "X" else math.cos(big_phi))
-    env = envelope_pdd(p, c.k, c.t_s, c.T)
-    return env * (math.cos(big_phi) if readout_quadrature == "X" else math.sin(big_phi))
+    big_phi = _phase_gain(c.kind, c.k) * phase_exact(w, p, c.t_i, c.t_s)
+    x, y = _quadratures(c.kind, math.cos(big_phi), math.sin(big_phi))
+    return _protocol_envelope(p, c) * (x if readout_quadrature == "X" else y)
 
 
 def _protocol_envelope(p: SensorParams, c: ProtocolConfig) -> float:

@@ -55,6 +55,7 @@ class TestConfig:
         # keys that no code would read are rejected like misspelled ones
         path = tmp_path / "bad.yaml"
         for section, key in [("sensor", "bogus"), ("sensor", "photon_rate_bright"),
+                             ("sensor", "snr_ref"),
                              ("experiment", "scheme"), ("experiment", "decoherence"),
                              ("protocol", "t_i")]:
             path.write_text(f"{section}:\n  {key}: 1\n")
@@ -172,6 +173,17 @@ class TestSimulate:
         assert (a / "ensemble.csv.meta.json").read_text() == \
                (b / "ensemble.csv.meta.json").read_text()
 
+    def test_hql_n2_must_equal_2k(self, cfg_path, tmp_path, capsys):
+        # pdd-tdqd spends n2 = 2k resources per estimate; another n2 was ignored
+        path = tmp_path / "exp.yaml"
+        path.write_text(GOOD_CONFIG.replace("k: 7", "k: 3") + "  n2: 40\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        assert "n2" in capsys.readouterr().err
+        assert main(["simulate", "--config", str(path), "--n2", "100", "--out", str(out)]) == 2
+        assert main(["simulate", "--config", str(path), "--n2", "6", "--out", str(out)]) == 0
+        assert read_ensemble_csv(out / "ensemble.csv").n2 == 6
+
     def test_sql_protocol(self, cfg_path, tmp_path):
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg_path), "--protocol", "ramsey-sql",
@@ -202,6 +214,22 @@ class TestReconstruct:
         for row, t, phi in zip(rows, ens.grid.instants, rec.phi_bar):
             assert float(row["t_seconds"]) == t
             assert float(row["phi_tilde_rad"]) == phi
+
+
+    @pytest.mark.parametrize("damage", ["truncated", "row_zero"])
+    def test_damaged_ensemble_exits_1(self, cfg_path, tmp_path, capsys, damage):
+        out = tmp_path / "run"
+        main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seeds", "3"])
+        path = out / "ensemble.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        if damage == "truncated":
+            lines = lines[:-2]
+        else:
+            lines[1] = "0" + lines[1][1:]
+        path.write_text("".join(lines))
+        assert main(["reconstruct", "--config", str(cfg_path),
+                     "--ensemble", str(path), "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
 
 
 class TestAllocate:

@@ -22,7 +22,7 @@ from wfsim import (
     with_seed,
     write_ensemble_csv,
 )
-from wfsim.measurement import SHOTS_REF, quadrature_noise_std
+from wfsim.measurement import DEFAULT_PHOTONS_PER_SHOT, SHOTS_REF, quadrature_noise_std
 
 T_FIG2 = 2.4e-6
 T_FIG4 = 9.6e-6
@@ -40,9 +40,10 @@ class TestReadoutModel:
         assert m.shots_R == 2_000_000
         assert m.noise_mode == "gaussian"
         assert m.sigma_ref == 0.0555
-        # photons_per_shot chosen so C * sqrt(shots * photons) = snr_ref
-        snr = P.contrast_C * math.sqrt(m.shots_R * m.photons_per_shot_bright)
-        assert snr == pytest.approx(P.snr_ref, rel=1e-12)
+        # photons_per_shot chosen so C * sqrt(shots * photons) = 50
+        assert m.photons_per_shot_bright == DEFAULT_PHOTONS_PER_SHOT
+        snr = P.contrast_C * math.sqrt(m.shots_R * DEFAULT_PHOTONS_PER_SHOT)
+        assert snr == pytest.approx(50.0, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -274,6 +275,38 @@ class TestCsvRoundTrip:
         assert (tmp_path / "a.csv.meta.json").read_text() == \
                (tmp_path / "b.csv.meta.json").read_text()
         assert "written_at" not in (tmp_path / "a.csv.meta.json").read_text()
+
+    def _written(self, tmp_path):
+        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=9), n1=4, n2=10,
+                                   t_s=150e-9, n_batches=3)
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path, deterministic=True)
+        return path
+
+    def test_truncated_file_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-2]))
+        with pytest.raises(ValueError, match="rows"):
+            read_ensemble_csv(path)
+
+    @pytest.mark.parametrize("cell", ["0,1", "5,1", "1,0", "1,4"])
+    def test_cell_outside_matrix_rejected(self, tmp_path, cell):
+        # i = 0 would otherwise wrap onto the last row
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = cell + lines[1][3:]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="outside"):
+            read_ensemble_csv(path)
+
+    def test_duplicate_cell_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = lines[1]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError):
+            read_ensemble_csv(path)
 
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"

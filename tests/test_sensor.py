@@ -212,6 +212,26 @@ class TestSensitivity:
         assert ks_t[np.argmin(etas_t)] < ks_p[np.argmin(etas_p)]
         assert np.min(etas_p) < np.min(etas_t)
 
+    def test_optimum_ratio_closed_form(self):
+        # acceptance criterion 8's ratio.  With envelope exp(-4 a k^2) and
+        # t_cycle ~ k, eta ~ exp(4 a k^2) / sqrt(k) is least at k^2 = 1/(16 a),
+        # so the ratio of the optima is (a_tdqd / a_pdd)^(1/4) for any readout
+        # noise; the integer grid of k adds the last few 1e-3
+        t_s, T = 300e-9, T_FIG2
+        a_tdqd = (t_s / P.T2_star) ** 2 + (T / P.T2) ** 2
+        a_pdd = ((T + t_s) / P.T2) ** 2
+        closed = (a_tdqd / a_pdd) ** 0.25
+        assert closed == pytest.approx(3.759, abs=1e-3)
+        ratios = []
+        for sigma_read in (None, 1.0):
+            _, etas_t = sensitivity_curve(P, Protocol.TDQD, range(1, 129), t_s, T,
+                                          sigma_read=sigma_read)
+            _, etas_p = sensitivity_curve(P, Protocol.PDD_TDQD, range(1, 129), t_s, T,
+                                          sigma_read=sigma_read)
+            ratios.append(np.min(etas_t) / np.min(etas_p))
+        assert ratios[0] == pytest.approx(closed, rel=5e-3)
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-12)
+
     def test_decohered_limit_is_infinite(self):
         c = ProtocolConfig(Protocol.TDQD, 10_000, 300e-9, T_FIG2, 0.0)
         assert math.isinf(sensitivity(P, c, sigma_read=1.0))

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+import wfsim
 from wfsim import (
     DomainError,
     WaveformSpec,
@@ -25,6 +31,26 @@ def fig4_waveform(b=1.0):
         period_T=T_FIG4,
         components=((b, 1, 0.0), (0.5 * b, 2, 0.0), (0.25 * b, 4, 0.0)),
     )
+
+
+def kinked_table():
+    # nine irregular knots spanning [0, T] with values of both signs
+    rng = np.random.default_rng(7)
+    ts = np.sort(np.concatenate(([0.0, T_FIG4], rng.uniform(0, T_FIG4, 7))))
+    return WaveformSpec.from_table(T_FIG4, ts, rng.uniform(-1e-6, 1e-6, 9))
+
+
+def trapezoid_oracle(w, t0, t1):
+    """Exact rational integral of the piecewise-linear table, segment by segment."""
+    knots = [(Fraction(t), Fraction(b)) for t, b in w.tabulated]
+    a, z = Fraction(t0), Fraction(t1)
+    total = Fraction(0)
+    for (ta, ba), (tb, bb) in zip(knots, knots[1:]):
+        lo, hi = max(ta, a), min(tb, z)
+        if lo < hi:
+            slope = (bb - ba) / (tb - ta)
+            total += (hi - lo) * (ba + slope * (lo - ta) + ba + slope * (hi - ta)) / 2
+    return float(total)
 
 
 class TestEvaluate:
@@ -107,6 +133,23 @@ class TestIntegrate:
         # linear ramp: exact integral
         assert integrate(w, 0.0, 1e-6) == pytest.approx(1e-12, rel=1e-9)
 
+    def test_tabulated_matches_exact_trapezoid_oracle(self):
+        w = kinked_table()
+        knots = [t for t, _ in w.tabulated]
+        rng = np.random.default_rng(3)
+        # windows with partial segments at both ends, inside one segment,
+        # on knots, and over the whole table
+        windows = [sorted(rng.uniform(0, T_FIG4, 2)) for _ in range(20)]
+        windows += [(knots[2] + 1e-9, knots[2] + 2e-9), (knots[1], knots[5]), (0.0, T_FIG4)]
+        for t0, t1 in windows:
+            oracle = trapezoid_oracle(w, t0, t1)
+            assert integrate(w, t0, t1) == pytest.approx(oracle, rel=1e-14, abs=1e-30)
+
+    def test_tabulated_past_last_knot_raises(self):
+        w = WaveformSpec.from_table(1e-6, [0.0, 0.5e-6], [0.0, 1e-6])
+        with pytest.raises(DomainError):
+            integrate(w, 0.4e-6, 0.6e-6)
+
     def test_rejects_reversed_bounds(self):
         w = WaveformSpec.harmonic(T_FIG2, 1e-6)
         with pytest.raises(ValueError):
@@ -116,10 +159,10 @@ class TestIntegrate:
     @settings(max_examples=50, deadline=None)
     def test_additivity(self, ts):
         t0, t1, t2 = sorted(ts)
-        w = fig4_waveform(1e-6)
-        whole = integrate(w, t0, t2)
-        split = integrate(w, t0, t1) + integrate(w, t1, t2)
-        assert split == pytest.approx(whole, rel=1e-12, abs=1e-24)
+        for w in (fig4_waveform(1e-6), kinked_table()):
+            whole = integrate(w, t0, t2)
+            split = integrate(w, t0, t1) + integrate(w, t1, t2)
+            assert split == pytest.approx(whole, rel=1e-12, abs=1e-24)
 
 
 class TestMakeGrid:
@@ -194,3 +237,17 @@ class TestHolder:
             estimate_holder(w, eps_set=[])
         with pytest.raises(ValueError):
             estimate_holder(w, eps_set=[2 * T_FIG4])
+
+
+def test_runs_without_scipy():
+    # scipy is a test-only dependency: the package must import and integrate without it
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from wfsim import WaveformSpec, estimate_holder, integrate\n"
+        "w = WaveformSpec.from_table(1e-6, [0.0, 0.5e-6, 1e-6], [0.0, 1e-6, 0.0])\n"
+        "assert abs(integrate(w, 0.25e-6, 1e-6) - 4.375e-13) < 1e-25\n"
+        "assert estimate_holder(w).q == 1.0\n"
+    )
+    src = str(Path(wfsim.__file__).parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
