@@ -37,6 +37,7 @@ from .measurement import (
     acquire_ensemble_hql,
     acquire_ensemble_sql,
     acquire_single_instant_hql,
+    photon_shot_noise,
     read_ensemble_csv,
     write_ensemble_csv,
 )
@@ -101,6 +102,8 @@ def cmd_simulate(args) -> int:
             raise ConfigError(f"{kind} uses n2 = 2k = {2 * k} resources, got n2 = {n2}")
         n_batches = args.seeds or int(cfg.experiment.get("seeds", 1))
         if args.t_i is not None:
+            if args.n1 is not None or "n1" in cfg.grid:
+                raise ConfigError("--t-i acquires one instant; drop --n1 and grid.n1")
             ens = acquire_single_instant_hql(w, p, m, k, args.t_i, t_s,
                                              n_batches=n_batches)
         else:
@@ -185,7 +188,8 @@ def cmd_sensitivity(args) -> int:
     T = cfg.waveform.period_T if cfg.waveform is not None else 2.4e-6
     t_s = float(cfg.protocol.get("t_s", 300e-9))
     kind = Protocol(args.protocol)
-    ks, etas = sensitivity_curve(cfg.sensor, kind, range(1, args.k_max + 1), t_s, T)
+    ks, etas = sensitivity_curve(cfg.sensor, kind, range(1, args.k_max + 1), t_s, T,
+                                 sigma_read=photon_shot_noise(cfg.readout, cfg.sensor))
     out = _outdir(args, cfg)
     _write_csv(out / f"sensitivity_{kind.value}.csv",
                ["k", "eta_tesla_per_sqrthz"],

@@ -12,9 +12,10 @@ bottom-up photon-statistics alternative.
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -305,16 +306,26 @@ def acquire_single_instant_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel
                      k=k, t_i=t_i, n_batches=n_batches)
 
 
+_CSV_HEADER = "i,j,t_i_seconds,phi_ij_rad\n"
+_CSV_ROW = [("i", "i4"), ("j", "i4"), ("t_i", "f8"), ("phi", "f8")]
+# rows formatted or parsed at a time: bounds the strings alive at once
+_CSV_BLOCK_ROWS = 4096
+
+
 def write_ensemble_csv(e: PhaseEnsemble, path, deterministic: bool = False) -> None:
-    """Write the ensemble as CSV plus a JSON metadata sidecar."""
+    """Write the ensemble as CSV plus a JSON metadata sidecar.
+
+    One row per cell, in (i, j) order, with floats in shortest repr form.
+    """
     path = str(path)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "t_i_seconds", "phi_ij_rad"])
-        for i in range(e.n1):
-            t_i = e.grid.instants[i]
-            for j in range(e.estimates.shape[1]):
-                writer.writerow([i + 1, j + 1, repr(t_i), repr(float(e.estimates[i, j]))])
+        fh.write(_CSV_HEADER)
+        for i, (t, row) in enumerate(zip(e.grid.instants, e.estimates), start=1):
+            t_i = repr(t)
+            for j0 in range(0, len(row), _CSV_BLOCK_ROWS):
+                block = row[j0:j0 + _CSV_BLOCK_ROWS].tolist()
+                fh.write("".join([f"{i},{j},{t_i},{phi!r}\n"
+                                  for j, phi in enumerate(block, start=j0 + 1)]))
     meta = dict(e.meta)
     meta.update({
         "n1": e.n1, "n2": e.n2, "t_s": e.t_s, "protocol": e.protocol,
@@ -329,29 +340,68 @@ def write_ensemble_csv(e: PhaseEnsemble, path, deterministic: bool = False) -> N
         fh.write("\n")
 
 
+def _parse_csv_rows(lines: list[str], first_line: int) -> np.ndarray:
+    """Parse ensemble CSV data lines; every line must hold one row of four fields."""
+    try:
+        with warnings.catch_warnings():
+            # NumPy 1.x parses "1.0" into an integer field with only this warning;
+            # as an error, loadtxt raises ValueError
+            warnings.filterwarnings("error", ".*integer via a float", DeprecationWarning)
+            rows = np.loadtxt(lines, dtype=_CSV_ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        raise ValueError(f"ensemble CSV lines {first_line}-{first_line + len(lines) - 1}: "
+                         f"{exc}") from None
+    if len(rows) != len(lines):
+        blank = first_line + lines.index("\n")
+        raise ValueError(f"ensemble CSV line {blank} is blank")
+    return rows
+
+
 def read_ensemble_csv(path) -> PhaseEnsemble:
-    """Read an ensemble written by :func:`write_ensemble_csv`."""
+    """Read an ensemble written by :func:`write_ensemble_csv`.
+
+    Rows may come in any order, but every cell must appear exactly once and
+    each row's t_i_seconds must be grid instant i (relative tolerance 1e-12).
+    """
     path = str(path)
     with open(path + ".meta.json") as fh:
         meta = json.load(fh)
     n1, n_cols = meta["n1"], meta["n_cols"]
+    grid = make_grid(meta["period_T"], n1)
+    instants = np.array(grid.instants)
     # cells no row fills stay NaN, which PhaseEnsemble rejects
     estimates = np.full((n1, n_cols), np.nan)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["i", "j", "t_i_seconds", "phi_ij_rad"]:
-            raise ValueError(f"unexpected ensemble CSV header: {header}")
-        for i, j, _, phi in reader:
-            i, j = int(i), int(j)
-            if not (1 <= i <= n1 and 1 <= j <= n_cols):
-                raise ValueError(f"ensemble CSV line {reader.line_num}: cell ({i}, {j}) "
-                                 f"outside [1, {n1}] x [1, {n_cols}]")
-            estimates[i - 1, j - 1] = float(phi)
-        if reader.line_num - 1 != n1 * n_cols:
-            raise ValueError(f"ensemble CSV has {reader.line_num - 1} rows, "
-                             f"expected n1 * n_cols = {n1 * n_cols}")
-    grid = make_grid(meta["period_T"], n1)
+    n_rows = n1 * n_cols
+    with open(path) as fh:
+        header = fh.readline()
+        if header != _CSV_HEADER:
+            raise ValueError(f"unexpected ensemble CSV header: {header!r}")
+        n_read = 0
+        while n_read < n_rows:
+            lines = list(itertools.islice(fh, min(_CSV_BLOCK_ROWS, n_rows - n_read)))
+            if not lines:
+                break
+            first_line = n_read + 2
+            rows = _parse_csv_rows(lines, first_line)
+            i, j = rows["i"] - 1, rows["j"] - 1
+            bad = (i < 0) | (i >= n1) | (j < 0) | (j >= n_cols)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"ensemble CSV line {first_line + k}: cell ({i[k] + 1}, "
+                                 f"{j[k] + 1}) outside [1, {n1}] x [1, {n_cols}]")
+            want = instants[i]
+            bad = ~(np.abs(rows["t_i"] - want) <= 1e-12 * np.abs(want))
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"ensemble CSV line {first_line + k}: t_i_seconds "
+                                 f"{float(rows['t_i'][k])!r} is not grid instant "
+                                 f"{i[k] + 1} ({float(want[k])!r})")
+            estimates[i, j] = rows["phi"]
+            n_read += len(lines)
+        n_read += sum(1 for _ in fh)
+    if n_read != n_rows:
+        raise ValueError(f"ensemble CSV has {n_read} rows, "
+                         f"expected n1 * n_cols = {n_rows}")
     return PhaseEnsemble(n1=n1, n2=meta["n2"], estimates=estimates, grid=grid,
                          t_s=meta["t_s"], protocol=meta["protocol"],
                          collapsed=meta["collapsed"], meta=meta)

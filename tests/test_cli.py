@@ -1,16 +1,20 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from wfsim import (
     ConfigError,
+    Protocol,
     ReadoutModel,
     SensorParams,
     load_config,
+    photon_shot_noise,
     read_ensemble_csv,
+    sensitivity_curve,
 )
 from wfsim.cli import main
 from wfsim.measurement import acquire_ensemble_hql
@@ -138,9 +142,11 @@ class TestSimulate:
         back = read_ensemble_csv(out / "ensemble.csv")
         assert np.array_equal(back.estimates, ens.estimates)
 
-    def test_single_instant_mode(self, cfg_path, tmp_path):
+    def test_single_instant_mode(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text(GOOD_CONFIG.replace("grid:\n  n1: 8\n", ""))
         out = tmp_path / "run"
-        assert main(["simulate", "--config", str(cfg_path), "--k", "15",
+        assert main(["simulate", "--config", str(path), "--k", "15",
                      "--t-i", "450e-9", "--seeds", "4", "--out", str(out)]) == 0
         ens = read_ensemble_csv(out / "ensemble.csv")
         assert ens.estimates.shape == (1, 4)
@@ -172,6 +178,23 @@ class TestSimulate:
         assert ea != (c / "ensemble.csv").read_text()
         assert (a / "ensemble.csv.meta.json").read_text() == \
                (b / "ensemble.csv.meta.json").read_text()
+
+    def test_single_instant_rejects_n1_flag(self, tmp_path, capsys):
+        # --t-i acquires one instant; an n1 given with it was ignored
+        path = tmp_path / "exp.yaml"
+        path.write_text(GOOD_CONFIG.replace("grid:\n  n1: 8\n", ""))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--k", "3", "--t-i", "4.8e-6",
+                     "--n1", "5", "--out", str(out)]) == 2
+        assert "n1" in capsys.readouterr().err
+        assert not (out / "ensemble.csv").exists()
+
+    def test_single_instant_rejects_grid_n1(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--k", "3", "--t-i", "4.8e-6",
+                     "--out", str(out)]) == 2
+        assert "n1" in capsys.readouterr().err
+        assert not (out / "ensemble.csv").exists()
 
     def test_hql_n2_must_equal_2k(self, cfg_path, tmp_path, capsys):
         # pdd-tdqd spends n2 = 2k resources per estimate; another n2 was ignored
@@ -216,7 +239,7 @@ class TestReconstruct:
             assert float(row["phi_tilde_rad"]) == phi
 
 
-    @pytest.mark.parametrize("damage", ["truncated", "row_zero"])
+    @pytest.mark.parametrize("damage", ["truncated", "row_zero", "t_i_off_grid"])
     def test_damaged_ensemble_exits_1(self, cfg_path, tmp_path, capsys, damage):
         out = tmp_path / "run"
         main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seeds", "3"])
@@ -224,8 +247,12 @@ class TestReconstruct:
         lines = path.read_text().splitlines(keepends=True)
         if damage == "truncated":
             lines = lines[:-2]
-        else:
+        elif damage == "row_zero":
             lines[1] = "0" + lines[1][1:]
+        else:
+            # row 1 belongs to instant 1; give it instant 2's time
+            i, j, _, phi = lines[1].split(",")
+            lines[1] = ",".join([i, j, lines[4].split(",")[2], phi])
         path.write_text("".join(lines))
         assert main(["reconstruct", "--config", str(cfg_path),
                      "--ensemble", str(path), "--out", str(out)]) == 1
@@ -288,6 +315,25 @@ class TestSensitivity:
         with open(tmp_path / "sensitivity_pdd-tdqd.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 100
+
+    @staticmethod
+    def _eta_opt(capsys) -> float:
+        return float(re.search(r"eta_opt=(\S+)", capsys.readouterr().out).group(1))
+
+    def test_uses_configured_photons_per_shot(self, tmp_path, capsys):
+        # readout.photons_per_shot sets the read-out noise the sensitivity divides
+        default_eta = min(sensitivity_curve(SensorParams(), Protocol.PDD_TDQD,
+                                            range(1, 129), 300e-9, 2.4e-6)[1])
+        assert main(["sensitivity", "--out", str(tmp_path)]) == 0
+        assert self._eta_opt(capsys) == float(f"{default_eta:.6g}")
+        path = tmp_path / "exp.yaml"
+        path.write_text("readout:\n  photons_per_shot: 5.0\n")
+        assert main(["sensitivity", "--config", str(path), "--out", str(tmp_path)]) == 0
+        sigma = photon_shot_noise(ReadoutModel(photons_per_shot_bright=5.0), SensorParams())
+        eta = min(sensitivity_curve(SensorParams(), Protocol.PDD_TDQD, range(1, 129),
+                                    300e-9, 2.4e-6, sigma_read=sigma)[1])
+        assert self._eta_opt(capsys) == float(f"{eta:.6g}")
+        assert eta < default_eta / 10
 
 
 class TestHolder:

@@ -1,7 +1,13 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wfsim import (
     DecoheredSignalError,
@@ -15,6 +21,7 @@ from wfsim import (
     acquire_ensemble_sql,
     acquire_single_instant_hql,
     estimate_phase,
+    make_grid,
     phase_exact,
     photon_shot_noise,
     read_ensemble_csv,
@@ -316,3 +323,98 @@ class TestCsvRoundTrip:
             ' "collapsed": false, "period_T": 9.6e-6}\n')
         with pytest.raises(ValueError):
             read_ensemble_csv(path)
+
+    def _damaged(self, tmp_path, line, text):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[line:line + 1] = [text]
+        path.write_text("".join(lines))
+        return path
+
+    @pytest.mark.parametrize("row", ["1,1,1.2e-06\n", "1,1,1.2e-06,0.5,7\n", "1.0,1,1.2e-06,0.5\n",
+                                     "#1,1,1.2e-06,0.5\n", "\n"],
+                             ids=["3_fields", "5_fields", "float_index", "comment", "blank"])
+    def test_malformed_row_rejected(self, tmp_path, row):
+        path = self._damaged(tmp_path, 5, row)
+        with pytest.raises(ValueError, match="line"):
+            read_ensemble_csv(path)
+
+    def test_extra_trailing_row_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines + [lines[-1]]))
+        with pytest.raises(ValueError, match="rows"):
+            read_ensemble_csv(path)
+
+    def test_t_i_off_grid_rejected(self, tmp_path):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        i, j, t_i, phi = lines[7].split(",")
+        assert i == "3"
+        lines[7] = f"{i},{j},{float(t_i) * (1 + 1e-9)!r},{phi}"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 8"):
+            read_ensemble_csv(path)
+
+    def test_t_i_checked_against_rebuilt_grid_with_tolerance(self, tmp_path):
+        # period_T is stored as 2 n1 t_1, so the rebuilt instants can differ from
+        # the written ones in the last ulp
+        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=2), n1=75, n2=2, t_s=50e-9)
+        rebuilt = make_grid(ens.grid.period_T, 75).instants
+        assert rebuilt != ens.grid.instants
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path, deterministic=True)
+        assert np.array_equal(read_ensemble_csv(path).estimates, ens.estimates)
+
+    def test_rows_in_any_order(self, tmp_path):
+        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=4), n1=5, n2=10,
+                                   t_s=150e-9, n_batches=7)
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path, deterministic=True)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        np.random.default_rng(0).shuffle(rows)
+        path.write_text(header + "".join(rows))
+        assert read_ensemble_csv(path).estimates.tobytes() == ens.estimates.tobytes()
+
+    @pytest.mark.parametrize("n1, n_cols", [(4, 3), (2, 5000)])
+    def test_bytes_match_csv_writer_oracle(self, tmp_path, n1, n_cols):
+        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=5), n1=n1, n2=10,
+                                   t_s=150e-9, n_batches=n_cols)
+        write_ensemble_csv(ens, tmp_path / "new.csv", deterministic=True)
+        _csv_writer_oracle(ens, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_line_numbers_past_the_first_block(self, tmp_path):
+        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=6), n1=2, n2=10,
+                                   t_s=150e-9, n_batches=6000)
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path, deterministic=True)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[9000] = "2,3001,1.0,0.5\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match="line 9001"):
+            read_ensemble_csv(path)
+
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=st.floats(allow_nan=False, allow_infinity=False)))
+    @example(np.array([[-0.0, 5e-324], [1e308, -1e308], [2.2250738585072014e-308, 0.1]]))
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_bit_exact_for_any_finite_float(self, estimates):
+        n1, n_cols = estimates.shape
+        ens = PhaseEnsemble(n1=n1, n2=2, estimates=estimates, grid=make_grid(T_FIG4, n1),
+                            t_s=150e-9, protocol="pdd-tdqd", collapsed=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ens.csv"
+            write_ensemble_csv(ens, path, deterministic=True)
+            assert read_ensemble_csv(path).estimates.tobytes() == estimates.tobytes()
+
+
+def _csv_writer_oracle(e, path):
+    """The csv.writer loop that wrote ensemble CSVs before the block writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["i", "j", "t_i_seconds", "phi_ij_rad"])
+        for i in range(e.n1):
+            t_i = e.grid.instants[i]
+            for j in range(e.estimates.shape[1]):
+                writer.writerow([i + 1, j + 1, repr(t_i), repr(float(e.estimates[i, j]))])
