@@ -30,15 +30,11 @@ from .estimator import (
 )
 from .measurement import (
     PhaseEnsemble,
-    PhaseEstimate,
     ReadoutModel,
+    acquire,
     acquire_ensemble_hql,
-    acquire_ensemble_sql,
-    acquire_single_instant_hql,
-    estimate_phase,
     photon_shot_noise,
     read_ensemble_csv,
-    simulate_readout,
     with_seed,
     write_ensemble_csv,
 )
@@ -47,6 +43,7 @@ from .sensor import (
     Protocol,
     ProtocolConfig,
     SensorParams,
+    envelope,
     envelope_pdd,
     envelope_ramsey,
     envelope_tdqd,

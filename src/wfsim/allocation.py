@@ -13,13 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .estimator import recon_error_sq, reconstruct
-from .measurement import (
-    ReadoutModel,
-    acquire_ensemble_hql,
-    acquire_ensemble_sql,
-    with_seed,
-)
-from .sensor import SensorParams
+from .measurement import ReadoutModel, acquire, with_seed
+from .sensor import Protocol, SensorParams
 from .waveform import WaveformSpec
 
 __all__ = [
@@ -202,10 +197,10 @@ def _monte_carlo(scheme: str, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
                  n1: int, n2: int, t_s: float, key: int, seeds: int, score) -> np.ndarray:
     """score(ensemble) for seeds s = 0 .. seeds-1, each acquired with the
     readout model with_seed(m, key, s)."""
-    acquire = {"sql": acquire_ensemble_sql, "hql": acquire_ensemble_hql}.get(scheme)
-    if acquire is None:
+    kind = {"sql": Protocol.RAMSEY_SQL, "hql": Protocol.PDD_TDQD}.get(scheme)
+    if kind is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return np.array([score(acquire(w, p, with_seed(m, key, s), n1, n2, t_s))
+    return np.array([score(acquire(kind, w, p, with_seed(m, key, s), n1, n2, t_s))
                      for s in range(seeds)])
 
 

@@ -33,14 +33,7 @@ from .allocation import (
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WfsimError
 from .estimator import decompose_error, phase_truth, reconstruct
-from .measurement import (
-    acquire_ensemble_hql,
-    acquire_ensemble_sql,
-    acquire_single_instant_hql,
-    photon_shot_noise,
-    read_ensemble_csv,
-    write_ensemble_csv,
-)
+from .measurement import acquire, photon_shot_noise, read_ensemble_csv, write_ensemble_csv
 from .sensor import Protocol, ProtocolConfig, sensitivity_curve
 from .waveform import estimate_holder
 
@@ -84,31 +77,31 @@ def _require_waveform(cfg: ExperimentConfig):
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     _require_waveform(cfg)
-    w, p, m = cfg.waveform, cfg.sensor, cfg.readout
-    kind = args.protocol or cfg.protocol.get("kind", "pdd-tdqd")
+    kind = Protocol(args.protocol or cfg.protocol.get("kind", "pdd-tdqd"))
     t_s = args.t_s if args.t_s is not None else float(cfg.protocol.get("t_s", 150e-9))
-    out = _outdir(args, cfg)
-
-    if kind == Protocol.RAMSEY_SQL.value:
-        n1 = args.n1 or int(cfg.grid.get("n1", 8))
+    if kind is Protocol.RAMSEY_SQL:
+        flags = [f for f, v in (("--k", args.k), ("--t-i", args.t_i), ("--seeds", args.seeds))
+                 if v is not None]
+        if flags:
+            raise ConfigError(f"ramsey-sql takes n1 x n2 single-shot estimates; "
+                              f"drop {', '.join(flags)}")
         n2 = args.n2 or int(cfg.grid.get("n2", 8))
-        ens = acquire_ensemble_sql(w, p, m, n1, n2, t_s)
+        n_batches = 1
     else:
-        if kind != Protocol.PDD_TDQD.value:
-            raise ConfigError(f"simulate supports 'ramsey-sql' or 'pdd-tdqd', got {kind!r}")
         k = args.k or int(cfg.protocol.get("k", 1))
         n2 = args.n2 or int(cfg.grid.get("n2", 2 * k))
         if n2 != 2 * k:
-            raise ConfigError(f"{kind} uses n2 = 2k = {2 * k} resources, got n2 = {n2}")
+            raise ConfigError(f"{kind.value} uses n2 = 2k = {2 * k} resources, got n2 = {n2}")
         n_batches = args.seeds or int(cfg.experiment.get("seeds", 1))
-        if args.t_i is not None:
-            if args.n1 is not None or "n1" in cfg.grid:
-                raise ConfigError("--t-i acquires one instant; drop --n1 and grid.n1")
-            ens = acquire_single_instant_hql(w, p, m, k, args.t_i, t_s,
-                                             n_batches=n_batches)
-        else:
-            n1 = args.n1 or int(cfg.grid.get("n1", 8))
-            ens = acquire_ensemble_hql(w, p, m, n1, n2, t_s, n_batches=n_batches)
+    if args.t_i is None:
+        n1 = args.n1 or int(cfg.grid.get("n1", 8))
+    elif args.n1 is not None or "n1" in cfg.grid:
+        raise ConfigError("--t-i acquires one instant; drop --n1 and grid.n1")
+    else:
+        n1 = 1
+    ens = acquire(kind, cfg.waveform, cfg.sensor, cfg.readout, n1, n2, t_s,
+                  n_batches=n_batches, t_i=args.t_i)
+    out = _outdir(args, cfg)
     path = out / "ensemble.csv"
     write_ensemble_csv(ens, path, deterministic=args.deterministic)
     log.info("wrote %s (%d x %d)", path, ens.n1, ens.estimates.shape[1])
@@ -120,6 +113,10 @@ def cmd_reconstruct(args) -> int:
     cfg = _load(args)
     _require_waveform(cfg)
     ens = read_ensemble_csv(args.ensemble)
+    t_i, grid_t = ens.meta.get("t_i"), ens.grid.instants[0]
+    if t_i is not None and not abs(t_i - grid_t) <= 1e-12 * grid_t:
+        raise ValueError(f"ensemble acquired at t_i = {t_i!r}, but its one-bin grid "
+                         f"scores it at T/2 = {grid_t!r}")
     rec = reconstruct(ens)
     report = decompose_error(ens, cfg.waveform, cfg.sensor)
     out = _outdir(args, cfg)

@@ -23,28 +23,19 @@ import numpy as np
 from .errors import DecoheredSignalError
 from .sensor import (
     Protocol,
-    ProtocolConfig,
     SensorParams,
-    _check_window,
     _phase_gain,
-    _protocol_envelope,
     _quadratures,
-    envelope_pdd,
-    envelope_ramsey,
-    phase_exact,
+    envelope,
 )
 from .waveform import SampleGrid, WaveformSpec, integrate, make_grid
 
 __all__ = [
     "ReadoutModel",
-    "PhaseEstimate",
     "PhaseEnsemble",
     "photon_shot_noise",
-    "simulate_readout",
-    "estimate_phase",
-    "acquire_ensemble_sql",
+    "acquire",
     "acquire_ensemble_hql",
-    "acquire_single_instant_hql",
     "write_ensemble_csv",
     "read_ensemble_csv",
 ]
@@ -84,21 +75,6 @@ class ReadoutModel:
             raise ValueError("photons_per_shot_bright must be positive")
         if not self.sigma_ref > 0:
             raise ValueError("sigma_ref must be positive")
-
-
-@dataclass(frozen=True)
-class PhaseEstimate:
-    phi_hat: float
-    std_err: float
-    resources_n2: int
-
-    def __post_init__(self):
-        if not math.isfinite(self.phi_hat):
-            raise ValueError("phi_hat must be finite")
-        if self.std_err < 0:
-            raise ValueError("std_err must be >= 0")
-        if self.resources_n2 < 1:
-            raise ValueError("resources_n2 must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -171,16 +147,6 @@ def _noisy_signal(s_true: np.ndarray, m: ReadoutModel, p: SensorParams,
     return (counts / m.shots_R - n_b * (1.0 - c / 2.0)) * 2.0 / (c * n_b)
 
 
-def simulate_readout(s_true: float, m: ReadoutModel, p: SensorParams,
-                     rng: np.random.Generator | None = None) -> float:
-    """One noisy readout of a signal value; unbiased, Var ~ 1/shots_R."""
-    if abs(s_true) > 1.0:
-        raise ValueError(f"|s_true| must be <= 1, got {s_true}")
-    if rng is None:
-        rng = np.random.default_rng(m.seed)
-    return float(_noisy_signal(np.asarray(s_true), m, p, rng))
-
-
 def _noise_scale(kind: Protocol, m: ReadoutModel) -> float:
     """Quadrature-noise scale of one readout."""
     # one Ramsey pass accumulates half the differential phase; the Gaussian
@@ -208,25 +174,6 @@ def _acquire(kind: Protocol, phases, env: float, k: int, n_cols: int, m: Readout
     return np.arctan2(sin_hat, cos_hat) / gain
 
 
-def estimate_phase(w: WaveformSpec, p: SensorParams, c: ProtocolConfig,
-                   m: ReadoutModel, rng: np.random.Generator | None = None) -> PhaseEstimate:
-    """Simulate both quadratures of the window [t_i, t_i + t_s] and invert
-    them to a phase in the differential convention.
-
-    Dynamic range: the total accumulated phase must stay within one
-    atan2 branch (|Phi| < pi); beyond it the estimate wraps and biases.
-    """
-    if rng is None:
-        rng = np.random.default_rng(m.seed)
-    _check_window(p, c)
-    env = _protocol_envelope(p, c)
-    phi = phase_exact(w, p, c.t_i, c.t_s)
-    phi_hat = float(_acquire(c.kind, [phi], env, c.k, 1, m, p, rng)[0, 0])
-    std_err = (_noise_scale(c.kind, m) * quadrature_noise_std(m, p)
-               / (env * _phase_gain(c.kind, c.k)))
-    return PhaseEstimate(phi_hat=phi_hat, std_err=std_err, resources_n2=c.n2)
-
-
 def _ensemble_rng(seed: int) -> np.random.Generator:
     # counter-based bit generator: the (i, j, quadrature) cells map onto
     # consecutive counter values, so output is scheduling-independent
@@ -242,68 +189,67 @@ def _centered_window_phases(w: WaveformSpec, p: SensorParams, instants,
     ])
 
 
-def _ensemble(kind: Protocol, grid: SampleGrid, n2: int, t_s: float,
-              estimates: np.ndarray, m: ReadoutModel, **meta) -> PhaseEnsemble:
+def acquire(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
+            n1: int, n2: int, t_s: float, n_batches: int = 1,
+            t_i: float | None = None) -> PhaseEnsemble:
+    """Phase-estimate ensemble of one protocol on the n1-bin grid of w's period.
+
+    ramsey-sql stores n2 independent single-pass estimates per instant (one
+    resource each, n_batches must be 1); their column means average down as
+    1/n2.  tdqd and pdd-tdqd spend n2 = 2k resources on each k-pass estimate
+    and store n_batches independent repetitions per instant (``collapsed``).
+    Each sampling window of width t_s is centred on its instant.  t_i moves
+    the one instant of an n1 = 1 ensemble off T/2; the grid stays the one-bin
+    grid and meta["t_i"] records the instant.  Entries are in the differential
+    phase convention of ``phase_exact``.
+
+    Dynamic range: the accumulated phase must stay within one atan2 branch
+    (|Phi| < pi); beyond it the estimate wraps and biases.
+    """
+    kind = Protocol(kind)
+    T = w.period_T
     meta = {"seed": m.seed, "protocol": kind.value, "t_s": t_s,
-            "noise_mode": m.noise_mode, "shots_R": m.shots_R, **meta}
-    return PhaseEnsemble(n1=grid.n1, n2=n2, estimates=estimates, grid=grid, t_s=t_s,
+            "noise_mode": m.noise_mode, "shots_R": m.shots_R}
+    if not 0 < t_s <= T - 2 * p.t_pi:
+        raise ValueError(f"t_s must be in (0, T - 2 t_pi], got {t_s}")
+    if kind is Protocol.RAMSEY_SQL:
+        if n1 * (t_s + 2 * p.t_pi) > T:
+            raise ValueError("n1 * (t_s + 2 t_pi) exceeds the waveform period")
+        if n2 < 1:
+            raise ValueError(f"n2 must be >= 1, got {n2}")
+        if n_batches != 1:
+            raise ValueError(f"ramsey-sql stores n2 single-shot columns; n_batches must "
+                             f"be 1, got {n_batches}")
+        k, n_cols = 1, n2
+    else:
+        if n2 < 2 or n2 % 2 != 0:
+            raise ValueError(f"n2 must be an even integer >= 2, got {n2}")
+        if n_batches < 1:
+            raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+        k, n_cols = n2 // 2, n_batches
+        meta.update(k=k, n_batches=n_batches)
+    grid = make_grid(T, n1)
+    instants = grid.instants
+    if t_i is not None:
+        if n1 != 1:
+            raise ValueError(f"t_i sets the one instant of an n1 = 1 ensemble, got n1 = {n1}")
+        if not (0 <= t_i - t_s / 2 and t_i + t_s / 2 <= T):
+            raise ValueError(f"window [t_i - t_s/2, t_i + t_s/2] around t_i = {t_i!r} "
+                             f"leaves [0, T = {T!r}]")
+        instants = [t_i]
+        meta["t_i"] = t_i
+    phases = _centered_window_phases(w, p, instants, t_s)
+    estimates = _acquire(kind, phases, envelope(kind, p, k, t_s, T), k, n_cols, m, p,
+                         _ensemble_rng(m.seed))
+    return PhaseEnsemble(n1=n1, n2=n2, estimates=estimates, grid=grid, t_s=t_s,
                          protocol=kind.value, collapsed=kind is not Protocol.RAMSEY_SQL,
                          meta=meta)
 
 
-def acquire_ensemble_sql(w: WaveformSpec, p: SensorParams, m: ReadoutModel,
-                         n1: int, n2: int, t_s: float) -> PhaseEnsemble:
-    """n2 independent single-pass Ramsey estimates at each of n1 instants.
-
-    Entries are stored in the differential phase convention (twice the
-    raw Ramsey phase).  Per-entry variance is independent of n2; the
-    column means average down as 1/n2.
-    """
-    T = w.period_T
-    if n1 * (t_s + 2 * p.t_pi) > T:
-        raise ValueError("n1 * (t_s + 2 t_pi) exceeds the waveform period")
-    if n2 < 1:
-        raise ValueError(f"n2 must be >= 1, got {n2}")
-    grid = make_grid(T, n1)
-    phases = _centered_window_phases(w, p, grid.instants, t_s)
-    estimates = _acquire(Protocol.RAMSEY_SQL, phases, envelope_ramsey(p, t_s), 1, n2,
-                         m, p, _ensemble_rng(m.seed))
-    return _ensemble(Protocol.RAMSEY_SQL, grid, n2, t_s, estimates, m)
-
-
-def acquire_ensemble_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel,
-                         n1: int, n2: int, t_s: float,
-                         n_batches: int = 1) -> PhaseEnsemble:
-    """One k-pass decoupled estimate (k = n2/2) per instant and batch.
-
-    Each stored estimate consumes n2 = 2k resources; per-estimate noise
-    scales as 1/n2 before decoherence.  Columns are independent
-    repetitions of the full measurement, flagged via ``collapsed``.
-    """
-    if n2 < 2 or n2 % 2 != 0:
-        raise ValueError(f"n2 must be an even integer >= 2, got {n2}")
-    if n_batches < 1:
-        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
-    k = n2 // 2
-    grid = make_grid(w.period_T, n1)
-    phases = _centered_window_phases(w, p, grid.instants, t_s)
-    estimates = _acquire(Protocol.PDD_TDQD, phases, envelope_pdd(p, k, t_s, w.period_T), k,
-                         n_batches, m, p, _ensemble_rng(m.seed))
-    return _ensemble(Protocol.PDD_TDQD, grid, n2, t_s, estimates, m,
-                     k=k, n_batches=n_batches)
-
-
-def acquire_single_instant_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel,
-                               k: int, t_i: float, t_s: float,
-                               n_batches: int = 1) -> PhaseEnsemble:
-    """k-pass decoupled estimates at one chosen instant (one-bin grid)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    phases = _centered_window_phases(w, p, [t_i], t_s)
-    estimates = _acquire(Protocol.PDD_TDQD, phases, envelope_pdd(p, k, t_s, w.period_T), k,
-                         n_batches, m, p, _ensemble_rng(m.seed))
-    return _ensemble(Protocol.PDD_TDQD, make_grid(w.period_T, 1), 2 * k, t_s, estimates, m,
-                     k=k, t_i=t_i, n_batches=n_batches)
+def acquire_ensemble_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel, n1: int,
+                         n2: int, t_s: float, n_batches: int = 1) -> PhaseEnsemble:
+    """``acquire(Protocol.PDD_TDQD, ...)``, kept for the benchmark's read-back check."""
+    return acquire(Protocol.PDD_TDQD, w, p, m, n1, n2, t_s, n_batches=n_batches)
 
 
 _CSV_HEADER = "i,j,t_i_seconds,phi_ij_rad\n"
@@ -357,11 +303,24 @@ def _parse_csv_rows(lines: list[str], first_line: int) -> np.ndarray:
     return rows
 
 
+def _first_repeat(cells: np.ndarray, filled: np.ndarray) -> int | None:
+    """Index of the first of cells already in filled or earlier in cells."""
+    s = np.sort(cells)
+    if not (filled[cells].any() or (s[1:] == s[:-1]).any()):
+        return None
+    seen = set()
+    for k, c in enumerate(cells.tolist()):
+        if filled[c] or c in seen:
+            return k
+        seen.add(c)
+
+
 def read_ensemble_csv(path) -> PhaseEnsemble:
     """Read an ensemble written by :func:`write_ensemble_csv`.
 
-    Rows may come in any order, but every cell must appear exactly once and
-    each row's t_i_seconds must be grid instant i (relative tolerance 1e-12).
+    Rows may come in any order, but every cell must appear exactly once with
+    a finite phase, and each row's t_i_seconds must be grid instant i
+    (relative tolerance 1e-12).  Each failure names its line.
     """
     path = str(path)
     with open(path + ".meta.json") as fh:
@@ -369,9 +328,11 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
     n1, n_cols = meta["n1"], meta["n_cols"]
     grid = make_grid(meta["period_T"], n1)
     instants = np.array(grid.instants)
-    # cells no row fills stay NaN, which PhaseEnsemble rejects
-    estimates = np.full((n1, n_cols), np.nan)
+    # n1 * n_cols in-range rows that repeat no cell fill every cell
+    estimates = np.empty((n1, n_cols))
     n_rows = n1 * n_cols
+    filled = np.zeros(n_rows, dtype=bool)
+    repeat = None  # (line, cell) of the first cell given twice
     with open(path) as fh:
         header = fh.readline()
         if header != _CSV_HEADER:
@@ -396,12 +357,27 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
                 raise ValueError(f"ensemble CSV line {first_line + k}: t_i_seconds "
                                  f"{float(rows['t_i'][k])!r} is not grid instant "
                                  f"{i[k] + 1} ({float(want[k])!r})")
-            estimates[i, j] = rows["phi"]
+            phi = rows["phi"]
+            bad = ~np.isfinite(phi)
+            if bad.any():
+                k = int(np.argmax(bad))
+                raise ValueError(f"ensemble CSV line {first_line + k}: phase "
+                                 f"{float(phi[k])!r} is not finite")
+            cells = np.ravel_multi_index((i, j), (n1, n_cols))
+            if repeat is None and (k := _first_repeat(cells, filled)) is not None:
+                repeat = (first_line + k, int(cells[k]))
+            filled[cells] = True
+            estimates[i, j] = phi
             n_read += len(lines)
         n_read += sum(1 for _ in fh)
     if n_read != n_rows:
         raise ValueError(f"ensemble CSV has {n_read} rows, "
                          f"expected n1 * n_cols = {n_rows}")
+    if repeat is not None:
+        line, cell = repeat
+        (i, j), (mi, mj) = divmod(cell, n_cols), divmod(int(np.argmin(filled)), n_cols)
+        raise ValueError(f"ensemble CSV line {line} repeats cell ({i + 1}, {j + 1}); "
+                         f"cell ({mi + 1}, {mj + 1}) is missing")
     return PhaseEnsemble(n1=n1, n2=meta["n2"], estimates=estimates, grid=grid,
                          t_s=meta["t_s"], protocol=meta["protocol"],
                          collapsed=meta["collapsed"], meta=meta)

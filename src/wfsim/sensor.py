@@ -30,6 +30,7 @@ __all__ = [
     "envelope_tdqd",
     "envelope_pdd",
     "envelope_ramsey",
+    "envelope",
     "signal",
     "sensitivity",
     "sensitivity_curve",
@@ -138,6 +139,16 @@ def envelope_ramsey(p: SensorParams, t_s: float) -> float:
     return math.exp(-((t_s / p.T2_star) ** 2))
 
 
+def envelope(kind: Protocol, p: SensorParams, k: int, t_s: float, T: float) -> float:
+    """Decay envelope of a protocol's accumulated signal: one Ramsey window
+    (k and T unused), or k plain or k decoupled differential passes."""
+    if kind is Protocol.RAMSEY_SQL:
+        return envelope_ramsey(p, t_s)
+    if kind is Protocol.TDQD:
+        return envelope_tdqd(p, k, t_s, T)
+    return envelope_pdd(p, k, t_s, T)
+
+
 def _check_window(p: SensorParams, c: ProtocolConfig):
     if c.t_s + 2 * p.t_pi > c.T:
         raise ValueError("t_s + 2*t_pi must fit within the waveform period")
@@ -163,15 +174,7 @@ def signal(w: WaveformSpec, p: SensorParams, c: ProtocolConfig, readout_quadratu
     _check_window(p, c)
     big_phi = _phase_gain(c.kind, c.k) * phase_exact(w, p, c.t_i, c.t_s)
     x, y = _quadratures(c.kind, math.cos(big_phi), math.sin(big_phi))
-    return _protocol_envelope(p, c) * (x if readout_quadrature == "X" else y)
-
-
-def _protocol_envelope(p: SensorParams, c: ProtocolConfig) -> float:
-    if c.kind is Protocol.RAMSEY_SQL:
-        return envelope_ramsey(p, c.t_s)
-    if c.kind is Protocol.TDQD:
-        return envelope_tdqd(p, c.k, c.t_s, c.T)
-    return envelope_pdd(p, c.k, c.t_s, c.T)
+    return envelope(c.kind, p, c.k, c.t_s, c.T) * (x if readout_quadrature == "X" else y)
 
 
 def sensitivity(p: SensorParams, c: ProtocolConfig, sigma_read: float | None = None,
@@ -186,7 +189,7 @@ def sensitivity(p: SensorParams, c: ProtocolConfig, sigma_read: float | None = N
     if sigma_read is None:
         from .measurement import ReadoutModel, photon_shot_noise
         sigma_read = photon_shot_noise(ReadoutModel(), p)
-    env = _protocol_envelope(p, c)
+    env = envelope(c.kind, p, c.k, c.t_s, c.T)
     dSdB = env * c.n2 * 2.0 * p.gamma_e * c.t_s * p.contrast_C
     t_cycle = c.n2 * (c.T + c.t_s) + t_overhead
     if dSdB <= 0 or not math.isfinite(dSdB) or env < 1e-300:

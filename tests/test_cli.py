@@ -11,13 +11,13 @@ from wfsim import (
     Protocol,
     ReadoutModel,
     SensorParams,
+    acquire,
     load_config,
     photon_shot_noise,
     read_ensemble_csv,
     sensitivity_curve,
 )
 from wfsim.cli import main
-from wfsim.measurement import acquire_ensemble_hql
 
 GOOD_CONFIG = """\
 waveform:
@@ -137,8 +137,8 @@ class TestSimulate:
         out = tmp_path / "run"
         main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seeds", "3"])
         cfg = load_config(cfg_path)
-        ens = acquire_ensemble_hql(cfg.waveform, cfg.sensor, cfg.readout,
-                                   n1=8, n2=14, t_s=150e-9, n_batches=3)
+        ens = acquire(Protocol.PDD_TDQD, cfg.waveform, cfg.sensor, cfg.readout,
+                      n1=8, n2=14, t_s=150e-9, n_batches=3)
         back = read_ensemble_csv(out / "ensemble.csv")
         assert np.array_equal(back.estimates, ens.estimates)
 
@@ -187,14 +187,35 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--k", "3", "--t-i", "4.8e-6",
                      "--n1", "5", "--out", str(out)]) == 2
         assert "n1" in capsys.readouterr().err
-        assert not (out / "ensemble.csv").exists()
+        assert not out.exists()
 
     def test_single_instant_rejects_grid_n1(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "run"
         assert main(["simulate", "--config", str(cfg_path), "--k", "3", "--t-i", "4.8e-6",
                      "--out", str(out)]) == 2
         assert "n1" in capsys.readouterr().err
-        assert not (out / "ensemble.csv").exists()
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_i", ["1.0", "50e-9"])
+    def test_single_instant_window_outside_period_exits_1(self, tmp_path, capsys, t_i):
+        # the window centred on t_i must lie inside [0, T]
+        path = tmp_path / "exp.yaml"
+        path.write_text(GOOD_CONFIG.replace("grid:\n  n1: 8\n", ""))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--t-i", t_i, "--out", str(out)]) == 1
+        assert "window" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--k", "3"], ["--t-i", "4.8e-6"], ["--seeds", "5"]],
+                             ids=lambda f: f[0])
+    def test_ramsey_rejects_hql_flags(self, cfg_path, tmp_path, capsys, flag):
+        # ramsey-sql has no pass count, no single-instant mode and no batches;
+        # the config keys protocol.k and experiment.seeds stay accepted
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--protocol", "ramsey-sql",
+                     *flag, "--out", str(out)]) == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hql_n2_must_equal_2k(self, cfg_path, tmp_path, capsys):
         # pdd-tdqd spends n2 = 2k resources per estimate; another n2 was ignored
@@ -204,6 +225,7 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out", str(out)]) == 2
         assert "n2" in capsys.readouterr().err
         assert main(["simulate", "--config", str(path), "--n2", "100", "--out", str(out)]) == 2
+        assert not out.exists()
         assert main(["simulate", "--config", str(path), "--n2", "6", "--out", str(out)]) == 0
         assert read_ensemble_csv(out / "ensemble.csv").n2 == 6
 
@@ -213,6 +235,17 @@ class TestSimulate:
                      "--n1", "4", "--n2", "6", "--out", str(out)]) == 0
         ens = read_ensemble_csv(out / "ensemble.csv")
         assert ens.estimates.shape == (4, 6)
+
+    def test_tdqd_protocol(self, cfg_path, tmp_path):
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--protocol", "tdqd",
+                     "--seeds", "3", "--out", str(out)]) == 0
+        back = read_ensemble_csv(out / "ensemble.csv")
+        cfg = load_config(cfg_path)
+        ens = acquire(Protocol.TDQD, cfg.waveform, cfg.sensor, cfg.readout,
+                      n1=8, n2=14, t_s=150e-9, n_batches=3)
+        assert back.protocol == "tdqd" and back.meta["k"] == 7
+        assert np.array_equal(back.estimates, ens.estimates)
 
 
 class TestReconstruct:
@@ -257,6 +290,19 @@ class TestReconstruct:
         assert main(["reconstruct", "--config", str(cfg_path),
                      "--ensemble", str(path), "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("t_i, rc", [("450e-9", 1), ("4.8e-6", 0)])
+    def test_single_instant_scored_only_at_t_half(self, tmp_path, capsys, t_i, rc):
+        # a --t-i ensemble sits on the one-bin grid, whose instant is T/2; scoring
+        # one taken elsewhere against the truth at T/2 would be wrong
+        path = tmp_path / "exp.yaml"
+        path.write_text(GOOD_CONFIG.replace("grid:\n  n1: 8\n", ""))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--t-i", t_i, "--seeds", "4",
+                     "--out", str(out)]) == 0
+        assert main(["reconstruct", "--config", str(path),
+                     "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == rc
+        assert ("t_i" in capsys.readouterr().err) == (rc == 1)
 
 
 class TestAllocate:

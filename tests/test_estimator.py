@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,12 +8,12 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from wfsim import (
+    Protocol,
     ReadoutModel,
     Reconstruction,
     SensorParams,
     WaveformSpec,
-    acquire_ensemble_hql,
-    acquire_ensemble_sql,
+    acquire,
     decompose_error,
     deterministic_error_curve,
     fit_loglog,
@@ -100,9 +101,8 @@ class TestDecomposition:
 
     def test_identity_on_simulated_ensembles(self):
         w = tone(0.05e-6)
-        for seed, acquire, n2 in ((0, acquire_ensemble_sql, 16),
-                                  (1, acquire_ensemble_hql, 16)):
-            ens = acquire(w, P_INF, ReadoutModel(seed=seed), 8, n2, T_S)
+        for seed, kind in enumerate(Protocol):
+            ens = acquire(kind, w, P_INF, ReadoutModel(seed=seed), 8, 16, T_S)
             rep = decompose_error(ens, w, P_INF)
             assert rep.delta_sq == pytest.approx(rep.delta_sq_direct, rel=1e-10)
 
@@ -114,6 +114,22 @@ class TestDecomposition:
         ens = synthetic_ensemble(truth, n1, n2, seed, noise=float(rng.uniform(0.001, 0.2)))
         rep = decompose_error(ens, truth, P)
         assert rep.delta_sq == pytest.approx(rep.delta_sq_direct, rel=1e-10)
+
+    @given(st.integers(0, 10_000), st.integers(1, 12), st.integers(2, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_column_order_invariance(self, seed, n1, n2):
+        # permuting the columns reorders only the sums, so the results agree to
+        # rounding rather than bit for bit
+        rng = np.random.default_rng(seed)
+        truth = tone(float(rng.uniform(0.01e-6, 2e-6)))
+        ens = synthetic_ensemble(truth, n1, n2, seed, noise=float(rng.uniform(0.001, 0.2)))
+        shuffled = dataclasses.replace(ens, estimates=ens.estimates[:, rng.permutation(n2)])
+        np.testing.assert_allclose(reconstruct(shuffled).phi_bar, reconstruct(ens).phi_bar,
+                                   rtol=1e-12, atol=0)
+        rep, rep_shuffled = decompose_error(ens, truth, P), decompose_error(shuffled, truth, P)
+        for f in dataclasses.fields(rep):
+            np.testing.assert_allclose(getattr(rep_shuffled, f.name), getattr(rep, f.name),
+                                       rtol=1e-12, atol=0, err_msg=f.name)
 
     def test_offset_shifts_only_det_part(self):
         truth = tone(0.5e-6)

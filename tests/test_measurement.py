@@ -13,23 +13,23 @@ from wfsim import (
     DecoheredSignalError,
     PhaseEnsemble,
     Protocol,
-    ProtocolConfig,
     ReadoutModel,
     SensorParams,
     WaveformSpec,
-    acquire_ensemble_hql,
-    acquire_ensemble_sql,
-    acquire_single_instant_hql,
-    estimate_phase,
+    acquire,
     make_grid,
     phase_exact,
     photon_shot_noise,
     read_ensemble_csv,
-    simulate_readout,
     with_seed,
     write_ensemble_csv,
 )
-from wfsim.measurement import DEFAULT_PHOTONS_PER_SHOT, SHOTS_REF, quadrature_noise_std
+from wfsim.measurement import (
+    DEFAULT_PHOTONS_PER_SHOT,
+    SHOTS_REF,
+    _noisy_signal,
+    quadrature_noise_std,
+)
 
 T_FIG2 = 2.4e-6
 T_FIG4 = 9.6e-6
@@ -73,20 +73,18 @@ class TestReadoutModel:
     def test_none_mode_is_noiseless(self):
         m = ReadoutModel(noise_mode="none")
         assert quadrature_noise_std(m, P) == 0.0
-        assert simulate_readout(0.37, m, P) == 0.37
+        assert _noisy_signal(0.37, m, P, np.random.default_rng(0)) == 0.37
 
 
 class TestSimulateReadout:
-    def test_rejects_out_of_range_signal(self):
-        with pytest.raises(ValueError):
-            simulate_readout(1.5, ReadoutModel(), P)
+    """The noisy readout of signal values that every acquisition draws."""
 
     @pytest.mark.parametrize("mode", ["gaussian", "poisson"])
     def test_unbiased_with_correct_variance(self, mode):
         m = ReadoutModel(noise_mode=mode, seed=7)
         rng = np.random.default_rng(7)
         s_true = 0.3
-        draws = np.array([simulate_readout(s_true, m, P, rng) for _ in range(4000)])
+        draws = _noisy_signal(np.full(4000, s_true), m, P, rng)
         sigma = quadrature_noise_std(m, P)
         assert draws.mean() == pytest.approx(s_true, abs=4 * sigma / math.sqrt(4000))
         assert draws.std(ddof=1) == pytest.approx(sigma, rel=0.1)
@@ -99,126 +97,183 @@ class TestSimulateReadout:
 
 
 class TestEstimatePhase:
-    def cfg(self, k=15, t_i=450e-9, t_s=300e-9, kind=Protocol.PDD_TDQD):
-        return ProtocolConfig(kind, k=k, t_s=t_s, T=T_FIG2, t_i=t_i)
+    """Estimates of the one window [t_i, t_i + t_s] = [450 ns, 750 ns] of T_FIG2,
+    acquired as n1 = 1 ensembles centred on t_i + t_s/2."""
+
+    T_I, T_S = 450e-9, 300e-9
+
+    def estimates(self, w, p, m, kind=Protocol.PDD_TDQD, k=15, n=1):
+        """n estimates: n single-shot columns for ramsey-sql, else n k-pass batches."""
+        n2, n_batches = (n, 1) if kind is Protocol.RAMSEY_SQL else (2 * k, n)
+        return acquire(kind, w, p, m, 1, n2, self.T_S, n_batches=n_batches,
+                       t_i=self.T_I + self.T_S / 2)
+
+    def truth(self, w):
+        return phase_exact(w, P_INF, self.T_I, self.T_S)
 
     @pytest.mark.parametrize("kind", list(Protocol), ids=lambda k: k.value)
     def test_noiseless_recovers_exact_phase(self, kind):
         # every protocol reports the differential convention of phase_exact
         w = WaveformSpec.harmonic(T_FIG2, 0.3e-9)
-        m = ReadoutModel(noise_mode="none")
-        c = self.cfg(kind=kind)
-        est = estimate_phase(w, P_INF, c, m)
-        assert est.phi_hat == pytest.approx(phase_exact(w, P_INF, c.t_i, c.t_s), rel=1e-10)
-        assert est.resources_n2 == (1 if kind is Protocol.RAMSEY_SQL else 30)
+        ens = self.estimates(w, P_INF, ReadoutModel(noise_mode="none"), kind)
+        assert ens.estimates[0, 0] == pytest.approx(self.truth(w), rel=1e-10)
+        assert ens.n2 == (1 if kind is Protocol.RAMSEY_SQL else 30)
 
     @pytest.mark.parametrize("mode", ["gaussian", "poisson"])
     def test_ramsey_std_err_matches_spread(self, mode):
+        # one pass accumulates half the differential phase, so the estimate
+        # doubles the quadrature noise; gaussian noise is halved to keep the
+        # per-resource calibration at sigma_ref
         w = WaveformSpec.harmonic(T_FIG2, 0.3e-9)
-        c = self.cfg(kind=Protocol.RAMSEY_SQL)
-        m = ReadoutModel(noise_mode=mode)
-        rng = np.random.default_rng(5)
-        ests = [estimate_phase(w, P_INF, c, m, rng=rng) for _ in range(2000)]
-        spread = np.std([e.phi_hat for e in ests], ddof=1)
-        assert spread == pytest.approx(ests[0].std_err, rel=0.1)
+        m = ReadoutModel(noise_mode=mode, seed=5)
+        ens = self.estimates(w, P_INF, m, Protocol.RAMSEY_SQL, n=2000)
+        std_err = (0.5 if mode == "gaussian" else 1.0) * quadrature_noise_std(m, P) / 0.5
+        assert ens.estimates.std(ddof=1) == pytest.approx(std_err, rel=0.1)
 
     def test_zero_field_zero_phase(self):
         w = WaveformSpec.from_table(T_FIG2, [0.0, T_FIG2], [0.0, 0.0])
-        est = estimate_phase(w, P_INF, self.cfg(), ReadoutModel(noise_mode="none"))
-        assert est.phi_hat == pytest.approx(0.0, abs=1e-15)
+        ens = self.estimates(w, P_INF, ReadoutModel(noise_mode="none"))
+        assert ens.estimates[0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_std_err_shrinks_with_k(self):
+        # a k-pass estimate accumulates 2k times the phase for the same readout noise
         w = WaveformSpec.harmonic(T_FIG2, 0.1e-9)
         m = ReadoutModel()
-        e1 = estimate_phase(w, P_INF, self.cfg(k=1), m)
-        e8 = estimate_phase(w, P_INF, self.cfg(k=8), m)
-        assert e8.std_err == pytest.approx(e1.std_err / 8, rel=1e-12)
+        s1, s8 = (self.estimates(w, P_INF, m, k=k, n=4000).estimates.std(ddof=1)
+                  for k in (1, 8))
+        assert s1 == pytest.approx(quadrature_noise_std(m, P) / 2, rel=0.05)
+        assert s8 == pytest.approx(s1 / 8, rel=0.05)
 
     def test_coverage(self):
         w = WaveformSpec.harmonic(T_FIG2, 0.3e-9)
-        c = self.cfg(k=4)
-        truth = phase_exact(w, P_INF, c.t_i, c.t_s)
-        rng = np.random.default_rng(11)
-        hits = 0
-        for _ in range(300):
-            est = estimate_phase(w, P_INF, c, ReadoutModel(), rng=rng)
-            hits += abs(est.phi_hat - truth) < 3 * est.std_err
+        m = ReadoutModel()
+        ens = self.estimates(w, P_INF, m, k=4, n=300)
+        std_err = quadrature_noise_std(m, P) / (2 * 4)
+        hits = np.sum(np.abs(ens.estimates - self.truth(w)) < 3 * std_err)
         assert hits >= 290  # ~99.7% nominal
 
     def test_fully_decohered_raises(self):
         w = WaveformSpec.harmonic(T_FIG2, 0.1e-9)
-        c = self.cfg(k=5000, kind=Protocol.TDQD)
         with pytest.raises(DecoheredSignalError):
-            estimate_phase(w, P, c, ReadoutModel(noise_mode="none"))
+            self.estimates(w, P, ReadoutModel(noise_mode="none"), Protocol.TDQD, k=5000)
 
     def test_dynamic_range_wraps_beyond_branch(self):
         # |Phi| > pi: the atan2 estimate jumps to the wrong branch
         w = WaveformSpec.harmonic(T_FIG2, 1e-6)
-        c = self.cfg(k=32)
-        truth = phase_exact(w, P_INF, c.t_i, c.t_s)
-        assert abs(2 * c.k * truth) > math.pi
-        est = estimate_phase(w, P_INF, c, ReadoutModel(noise_mode="none"))
-        assert abs(est.phi_hat - truth) > 10 * abs(truth) * 1e-6
+        truth = self.truth(w)
+        assert abs(2 * 32 * truth) > math.pi
+        ens = self.estimates(w, P_INF, ReadoutModel(noise_mode="none"), k=32)
+        assert abs(ens.estimates[0, 0] - truth) > 10 * abs(truth) * 1e-6
 
 
 class TestEnsembles:
     def test_sql_shape_and_resources(self):
-        ens = acquire_ensemble_sql(tone(), P, ReadoutModel(), n1=8, n2=12, t_s=150e-9)
+        ens = acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(), n1=8, n2=12, t_s=150e-9)
         assert ens.estimates.shape == (8, 12)
         assert ens.resources_total == 96
         assert not ens.collapsed
 
     def test_hql_shape_and_resources(self):
-        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(), n1=8, n2=12,
-                                   t_s=150e-9, n_batches=3)
+        ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), n1=8, n2=12,
+                      t_s=150e-9, n_batches=3)
         assert ens.estimates.shape == (8, 3)
         assert ens.collapsed
         assert ens.resources_total == 8 * 12 * 3
 
     def test_sql_rejects_overfull_period(self):
         with pytest.raises(ValueError):
-            acquire_ensemble_sql(tone(T=1e-6), P, ReadoutModel(), n1=8, n2=2, t_s=150e-9)
+            acquire(Protocol.RAMSEY_SQL, tone(T=1e-6), P, ReadoutModel(), n1=8, n2=2, t_s=150e-9)
 
     def test_hql_rejects_odd_n2(self):
         with pytest.raises(ValueError):
-            acquire_ensemble_hql(tone(), P, ReadoutModel(), n1=4, n2=3, t_s=150e-9)
+            acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), n1=4, n2=3, t_s=150e-9)
 
     def test_hql_decohered_k_raises(self):
         with pytest.raises(DecoheredSignalError):
-            acquire_ensemble_hql(tone(), P, ReadoutModel(), n1=4, n2=2000, t_s=150e-9)
+            acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), n1=4, n2=2000, t_s=150e-9)
 
     def test_noiseless_sql_equals_window_mean_phase(self):
         w = tone(0.2e-9)
-        ens = acquire_ensemble_sql(w, P_INF, ReadoutModel(noise_mode="none"),
-                                   n1=4, n2=3, t_s=150e-9)
+        ens = acquire(Protocol.RAMSEY_SQL, w, P_INF, ReadoutModel(noise_mode="none"),
+                      n1=4, n2=3, t_s=150e-9)
         for i, t_i in enumerate(ens.grid.instants):
             expected = phase_exact(w, P_INF, t_i - 75e-9, 150e-9)
             assert ens.estimates[i] == pytest.approx(expected, rel=1e-10)
 
     def test_noiseless_hql_equals_window_mean_phase(self):
         w = tone(0.2e-9)
-        ens = acquire_ensemble_hql(w, P_INF, ReadoutModel(noise_mode="none"),
-                                   n1=4, n2=8, t_s=150e-9)
+        ens = acquire(Protocol.PDD_TDQD, w, P_INF, ReadoutModel(noise_mode="none"),
+                      n1=4, n2=8, t_s=150e-9)
         for i, t_i in enumerate(ens.grid.instants):
             expected = phase_exact(w, P_INF, t_i - 75e-9, 150e-9)
             assert ens.estimates[i] == pytest.approx(expected, rel=1e-10)
 
+    def test_noiseless_tdqd_equals_window_mean_phase(self):
+        # tdqd reads sin on X; the estimate is the same differential phase
+        w = tone(0.2e-9)
+        ens = acquire(Protocol.TDQD, w, P_INF, ReadoutModel(noise_mode="none"),
+                      n1=4, n2=8, t_s=150e-9, n_batches=2)
+        assert ens.collapsed and ens.meta["k"] == 4 and ens.estimates.shape == (4, 2)
+        for i, t_i in enumerate(ens.grid.instants):
+            expected = phase_exact(w, P_INF, t_i - 75e-9, 150e-9)
+            assert ens.estimates[i] == pytest.approx(expected, rel=1e-10)
+
+    def test_tdqd_decoheres_before_pdd(self):
+        # at t_s = 150 ns the tdqd envelope is e^-3.8 at k = 30 and e^-42, below the
+        # floor, at k = 100, where the decoupled envelope is still e^-8.7
+        with pytest.raises(DecoheredSignalError):
+            acquire(Protocol.TDQD, tone(), P, ReadoutModel(), n1=4, n2=200, t_s=150e-9)
+        acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), n1=4, n2=200, t_s=150e-9)
+
+    def test_kind_given_by_value(self):
+        a = acquire("ramsey-sql", tone(), P, ReadoutModel(seed=5), 4, 3, 150e-9)
+        b = acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(seed=5), 4, 3, 150e-9)
+        assert a.protocol == "ramsey-sql" and np.array_equal(a.estimates, b.estimates)
+        with pytest.raises(ValueError):
+            acquire("bogus", tone(), P, ReadoutModel(), 4, 3, 150e-9)
+
+    def test_ramsey_rejects_batches(self):
+        # ramsey-sql repeats through its n2 single-shot columns
+        with pytest.raises(ValueError, match="n_batches"):
+            acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(), 4, 3, 150e-9, n_batches=2)
+
+    @pytest.mark.parametrize("t_s", [0.0, -1e-9, T_FIG4 - 50e-9])
+    def test_window_must_fit_the_period(self, t_s):
+        # t_s + 2 t_pi must fit within T for every protocol
+        with pytest.raises(ValueError, match="t_s"):
+            acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), 1, 2, t_s)
+
+    def test_t_i_needs_one_bin(self):
+        with pytest.raises(ValueError, match="n1"):
+            acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), 2, 2, 150e-9, t_i=4.8e-6)
+
+    @pytest.mark.parametrize("t_i", [1.0, 50e-9, T_FIG4 - 50e-9, -4.8e-6])
+    def test_t_i_window_outside_period_raises(self, t_i):
+        # the window [t_i - t_s/2, t_i + t_s/2] must lie inside [0, T]
+        with pytest.raises(ValueError, match="window"):
+            acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), 1, 2, 150e-9, t_i=t_i)
+
+    def test_t_i_window_may_touch_the_period_ends(self):
+        for t_i in (75e-9, T_FIG4 - 75e-9):
+            ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), 1, 2, 150e-9, t_i=t_i)
+            assert ens.meta["t_i"] == t_i
+
     def test_single_instant_matches_one_bin_ensemble(self):
         # the one-bin grid's instant is T/2, so both paths read the same window
         w, m = tone(0.2e-9), ReadoutModel(seed=4)
-        single = acquire_single_instant_hql(w, P, m, k=7, t_i=T_FIG4 / 2, t_s=150e-9,
-                                            n_batches=5)
-        ens = acquire_ensemble_hql(w, P, m, n1=1, n2=14, t_s=150e-9, n_batches=5)
+        single = acquire(Protocol.PDD_TDQD, w, P, m, n1=1, n2=14, t_s=150e-9, n_batches=5,
+                         t_i=T_FIG4 / 2)
+        ens = acquire(Protocol.PDD_TDQD, w, P, m, n1=1, n2=14, t_s=150e-9, n_batches=5)
         assert np.array_equal(single.estimates, ens.estimates)
 
     def test_same_seed_bit_identical(self):
-        a = acquire_ensemble_sql(tone(), P, ReadoutModel(seed=5), 8, 8, 150e-9)
-        b = acquire_ensemble_sql(tone(), P, ReadoutModel(seed=5), 8, 8, 150e-9)
+        a = acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(seed=5), 8, 8, 150e-9)
+        b = acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(seed=5), 8, 8, 150e-9)
         assert np.array_equal(a.estimates, b.estimates)
 
     def test_different_seed_differs(self):
-        a = acquire_ensemble_sql(tone(), P, ReadoutModel(seed=5), 8, 8, 150e-9)
-        b = acquire_ensemble_sql(tone(), P, ReadoutModel(seed=6), 8, 8, 150e-9)
+        a = acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(seed=5), 8, 8, 150e-9)
+        b = acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(seed=6), 8, 8, 150e-9)
         assert not np.array_equal(a.estimates, b.estimates)
 
     def test_with_seed_is_deterministic_and_distinct(self):
@@ -229,8 +284,8 @@ class TestEnsembles:
     def test_sql_per_entry_noise_calibration(self):
         # std of a single-resource entry ~ sigma_ref (doubled convention)
         w = WaveformSpec.harmonic(T_FIG4, 0.01e-9)
-        ens = acquire_ensemble_sql(w, P_INF, ReadoutModel(seed=0), n1=4, n2=2000,
-                                   t_s=150e-9)
+        ens = acquire(Protocol.RAMSEY_SQL, w, P_INF, ReadoutModel(seed=0), n1=4, n2=2000,
+                      t_s=150e-9)
         per_entry = ens.estimates.std(axis=1, ddof=1).mean()
         assert per_entry == pytest.approx(0.0555, rel=0.05)
 
@@ -239,8 +294,8 @@ class TestEnsembles:
         w = WaveformSpec.harmonic(T_FIG4, 0.01e-9)
         stds = []
         for n2 in (4, 8, 16):
-            ens = acquire_ensemble_hql(w, P_INF, ReadoutModel(seed=0), n1=4, n2=n2,
-                                       t_s=150e-9, n_batches=800)
+            ens = acquire(Protocol.PDD_TDQD, w, P_INF, ReadoutModel(seed=0), n1=4, n2=n2,
+                          t_s=150e-9, n_batches=800)
             stds.append(ens.estimates.std(axis=1, ddof=1).mean())
         assert stds[0] == pytest.approx(0.0555 / 4, rel=0.1)
         assert stds[0] / stds[1] == pytest.approx(2.0, rel=0.1)
@@ -250,8 +305,8 @@ class TestEnsembles:
         w = WaveformSpec.harmonic(T_FIG4, 0.01e-9)
         kw = dict(n1=2, t_s=150e-9, n_batches=600)
         n2 = 128
-        free = acquire_ensemble_hql(w, P_INF, ReadoutModel(seed=0), n2=n2, **kw)
-        deco = acquire_ensemble_hql(w, P, ReadoutModel(seed=0), n2=n2, **kw)
+        free = acquire(Protocol.PDD_TDQD, w, P_INF, ReadoutModel(seed=0), n2=n2, **kw)
+        deco = acquire(Protocol.PDD_TDQD, w, P, ReadoutModel(seed=0), n2=n2, **kw)
         assert deco.estimates.std() > 1.2 * free.estimates.std()
 
     def test_validation_shape(self):
@@ -263,8 +318,8 @@ class TestEnsembles:
 
 class TestCsvRoundTrip:
     def test_bit_identical(self, tmp_path):
-        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=9), n1=6, n2=10,
-                                   t_s=150e-9, n_batches=4)
+        ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=9), n1=6, n2=10,
+                      t_s=150e-9, n_batches=4)
         path = tmp_path / "ens.csv"
         write_ensemble_csv(ens, path, deterministic=True)
         back = read_ensemble_csv(path)
@@ -276,7 +331,7 @@ class TestCsvRoundTrip:
         assert back.grid.instants == pytest.approx(ens.grid.instants)
 
     def test_deterministic_flag_suppresses_timestamp(self, tmp_path):
-        ens = acquire_ensemble_sql(tone(), P, ReadoutModel(seed=1), 4, 4, 150e-9)
+        ens = acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(seed=1), 4, 4, 150e-9)
         write_ensemble_csv(ens, tmp_path / "a.csv", deterministic=True)
         write_ensemble_csv(ens, tmp_path / "b.csv", deterministic=True)
         assert (tmp_path / "a.csv.meta.json").read_text() == \
@@ -284,8 +339,8 @@ class TestCsvRoundTrip:
         assert "written_at" not in (tmp_path / "a.csv.meta.json").read_text()
 
     def _written(self, tmp_path):
-        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=9), n1=4, n2=10,
-                                   t_s=150e-9, n_batches=3)
+        ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=9), n1=4, n2=10,
+                      t_s=150e-9, n_batches=3)
         path = tmp_path / "ens.csv"
         write_ensemble_csv(ens, path, deterministic=True)
         return path
@@ -312,7 +367,29 @@ class TestCsvRoundTrip:
         lines = path.read_text().splitlines(keepends=True)
         lines[2] = lines[1]
         path.write_text("".join(lines))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"line 3 repeats cell \(1, 1\); "
+                                             r"cell \(1, 2\) is missing"):
+            read_ensemble_csv(path)
+
+    def test_duplicate_cell_in_a_later_block_rejected(self, tmp_path):
+        ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=6), n1=2, n2=10,
+                      t_s=150e-9, n_batches=6000)
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path, deterministic=True)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[9000] = lines[10]
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"line 9001 repeats cell \(1, 10\); "
+                                             r"cell \(2, 3000\) is missing"):
+            read_ensemble_csv(path)
+
+    @pytest.mark.parametrize("phi", ["nan", "inf", "-inf"])
+    def test_non_finite_phase_rejected(self, tmp_path, phi):
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = lines[4].rsplit(",", 1)[0] + f",{phi}\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=f"line 5: phase {phi} is not finite"):
             read_ensemble_csv(path)
 
     def test_header_checked(self, tmp_path):
@@ -359,7 +436,7 @@ class TestCsvRoundTrip:
     def test_t_i_checked_against_rebuilt_grid_with_tolerance(self, tmp_path):
         # period_T is stored as 2 n1 t_1, so the rebuilt instants can differ from
         # the written ones in the last ulp
-        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=2), n1=75, n2=2, t_s=50e-9)
+        ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=2), n1=75, n2=2, t_s=50e-9)
         rebuilt = make_grid(ens.grid.period_T, 75).instants
         assert rebuilt != ens.grid.instants
         path = tmp_path / "ens.csv"
@@ -367,8 +444,8 @@ class TestCsvRoundTrip:
         assert np.array_equal(read_ensemble_csv(path).estimates, ens.estimates)
 
     def test_rows_in_any_order(self, tmp_path):
-        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=4), n1=5, n2=10,
-                                   t_s=150e-9, n_batches=7)
+        ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=4), n1=5, n2=10,
+                      t_s=150e-9, n_batches=7)
         path = tmp_path / "ens.csv"
         write_ensemble_csv(ens, path, deterministic=True)
         header, *rows = path.read_text().splitlines(keepends=True)
@@ -378,15 +455,15 @@ class TestCsvRoundTrip:
 
     @pytest.mark.parametrize("n1, n_cols", [(4, 3), (2, 5000)])
     def test_bytes_match_csv_writer_oracle(self, tmp_path, n1, n_cols):
-        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=5), n1=n1, n2=10,
-                                   t_s=150e-9, n_batches=n_cols)
+        ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=5), n1=n1, n2=10,
+                      t_s=150e-9, n_batches=n_cols)
         write_ensemble_csv(ens, tmp_path / "new.csv", deterministic=True)
         _csv_writer_oracle(ens, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
     def test_line_numbers_past_the_first_block(self, tmp_path):
-        ens = acquire_ensemble_hql(tone(), P, ReadoutModel(seed=6), n1=2, n2=10,
-                                   t_s=150e-9, n_batches=6000)
+        ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=6), n1=2, n2=10,
+                      t_s=150e-9, n_batches=6000)
         path = tmp_path / "ens.csv"
         write_ensemble_csv(ens, path, deterministic=True)
         lines = path.read_text().splitlines(keepends=True)

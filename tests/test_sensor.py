@@ -10,6 +10,7 @@ from wfsim import (
     ProtocolConfig,
     SensorParams,
     WaveformSpec,
+    envelope,
     envelope_pdd,
     envelope_ramsey,
     envelope_tdqd,
@@ -142,6 +143,13 @@ class TestEnvelopes:
         pdd = [envelope_pdd(P, k, 300e-9, T_FIG2) for k in ks]
         assert all(a >= b for a, b in zip(tdqd, tdqd[1:]))
         assert all(a >= b for a, b in zip(pdd, pdd[1:]))
+
+    def test_envelope_picks_each_protocols_formula(self):
+        # one Ramsey window decays with t_s alone; k and T count only for the passes
+        assert envelope(Protocol.RAMSEY_SQL, P, 8, 300e-9, T_FIG2) == envelope_ramsey(P, 300e-9)
+        assert envelope(Protocol.TDQD, P, 8, 300e-9, T_FIG2) == envelope_tdqd(P, 8, 300e-9, T_FIG2)
+        assert envelope(Protocol.PDD_TDQD, P, 8, 300e-9, T_FIG2) == \
+            envelope_pdd(P, 8, 300e-9, T_FIG2)
 
     def test_pdd_beats_tdqd_for_all_k(self):
         for k in range(1, 129):
