@@ -34,10 +34,13 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, WfsimError
 from .estimator import decompose_error, phase_truth, reconstruct
 from .measurement import acquire, photon_shot_noise, read_ensemble_csv, write_ensemble_csv
-from .sensor import Protocol, ProtocolConfig, sensitivity_curve
+from .sensor import Protocol, sensitivity_curve
 from .waveform import estimate_holder
 
 log = logging.getLogger("wfsim")
+
+# sampling window of simulate and scaling
+T_S = 150e-9
 
 
 def _setup_logging():
@@ -46,18 +49,26 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+def _setting(flag, value, default):
+    """The one override rule: the flag if given, else the config value, else the
+    command's default.  Only None is unset, so 0 and [] reach their checks."""
+    if flag is not None:
+        return flag
+    return default if value is None else value
+
+
 def _load(args) -> ExperimentConfig:
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = ExperimentConfig()
+    cfg = load_config(args.config) if args.config is not None else ExperimentConfig()
     if args.seed is not None:
-        cfg.readout = replace(cfg.readout, seed=args.seed)
+        try:
+            cfg.readout = replace(cfg.readout, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     return cfg
 
 
 def _outdir(args, cfg: ExperimentConfig) -> Path:
-    out = Path(args.out or cfg.output)
+    out = Path(_setting(args.out, cfg.output, "."))
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -77,24 +88,24 @@ def _require_waveform(cfg: ExperimentConfig):
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     _require_waveform(cfg)
-    kind = Protocol(args.protocol or cfg.protocol.get("kind", "pdd-tdqd"))
-    t_s = args.t_s if args.t_s is not None else float(cfg.protocol.get("t_s", 150e-9))
+    kind = Protocol(_setting(args.protocol, cfg.protocol.get("kind"), Protocol.PDD_TDQD))
+    t_s = _setting(args.t_s, cfg.protocol.get("t_s"), T_S)
     if kind is Protocol.RAMSEY_SQL:
         flags = [f for f, v in (("--k", args.k), ("--t-i", args.t_i), ("--seeds", args.seeds))
                  if v is not None]
         if flags:
             raise ConfigError(f"ramsey-sql takes n1 x n2 single-shot estimates; "
                               f"drop {', '.join(flags)}")
-        n2 = args.n2 or int(cfg.grid.get("n2", 8))
+        n2 = _setting(args.n2, cfg.grid.get("n2"), 8)
         n_batches = 1
     else:
-        k = args.k or int(cfg.protocol.get("k", 1))
-        n2 = args.n2 or int(cfg.grid.get("n2", 2 * k))
+        k = _setting(args.k, cfg.protocol.get("k"), 1)
+        n2 = _setting(args.n2, cfg.grid.get("n2"), 2 * k)
         if n2 != 2 * k:
             raise ConfigError(f"{kind.value} uses n2 = 2k = {2 * k} resources, got n2 = {n2}")
-        n_batches = args.seeds or int(cfg.experiment.get("seeds", 1))
+        n_batches = _setting(args.seeds, cfg.experiment.get("seeds"), 1)
     if args.t_i is None:
-        n1 = args.n1 or int(cfg.grid.get("n1", 8))
+        n1 = _setting(args.n1, cfg.grid.get("n1"), 8)
     elif args.n1 is not None or "n1" in cfg.grid:
         raise ConfigError("--t-i acquires one instant; drop --n1 and grid.n1")
     else:
@@ -150,16 +161,21 @@ def cmd_allocate(args) -> int:
 
 def cmd_scaling(args) -> int:
     cfg = _load(args)
-    t_s = float(cfg.experiment.get("t_s", 150e-9))
+    t_s = cfg.protocol.get("t_s", T_S)
+    budgets = cfg.experiment.get(
+        "budgets", [N for N, _, _ in (TABLE_SQL if args.scheme == "sql" else TABLE_HQL)])
+    if len(budgets) < 3:
+        raise ConfigError(f"scaling fits a slope to >= 3 budgets, got {budgets}")
+    seeds = _setting(args.seeds, cfg.experiment.get("seeds"), 100)
+    if seeds < 2:
+        raise ConfigError(f"scaling needs >= 2 seeds for its confidence interval, got {seeds}")
+    allocator = cfg.experiment.get("allocator", "exact")
+    if allocator == "paper" and args.scheme != "sql":
+        raise ConfigError("experiment.allocator 'paper' applies to the sql scheme only")
     w = cfg.waveform or calibrated_tone(cfg.sensor, t_s, 9.6e-6)
-    budgets = cfg.experiment.get("budgets") or [
-        N for N, _, _ in (TABLE_SQL if args.scheme == "sql" else TABLE_HQL)
-    ]
-    seeds = args.seeds or int(cfg.experiment.get("seeds", 100))
     rows, slope = run_scaling_experiment(
         args.scheme, budgets, w, cfg.sensor, cfg.readout, seeds=seeds, t_s=t_s,
-        decoherence=not args.no_decoherence,
-        allocator=cfg.experiment.get("allocator", "exact"),
+        decoherence=not args.no_decoherence, allocator=allocator,
     )
     out = _outdir(args, cfg)
     _write_csv(out / f"scaling_{args.scheme}.csv",
@@ -182,9 +198,14 @@ def cmd_scaling(args) -> int:
 
 def cmd_sensitivity(args) -> int:
     cfg = _load(args)
+    kind = Protocol(_setting(args.protocol, cfg.protocol.get("kind"), Protocol.PDD_TDQD))
+    if kind is Protocol.RAMSEY_SQL:
+        raise ConfigError("sensitivity takes the k-pass protocols, not ramsey-sql")
+    if args.k_max < 1:
+        raise ConfigError(f"--k-max must be >= 1, got {args.k_max}")
+    # without a waveform: the sensitivity figure's period and window
     T = cfg.waveform.period_T if cfg.waveform is not None else 2.4e-6
-    t_s = float(cfg.protocol.get("t_s", 300e-9))
-    kind = Protocol(args.protocol)
+    t_s = cfg.protocol.get("t_s", 300e-9)
     ks, etas = sensitivity_curve(cfg.sensor, kind, range(1, args.k_max + 1), t_s, T,
                                  sigma_read=photon_shot_noise(cfg.readout, cfg.sensor))
     out = _outdir(args, cfg)
@@ -265,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sensitivity", help="sensitivity vs pass count k")
     common(sp)
-    sp.add_argument("--protocol", choices=["tdqd", "pdd-tdqd"], default="pdd-tdqd")
+    sp.add_argument("--protocol", choices=["tdqd", "pdd-tdqd"],
+                    help="default: protocol.kind, else pdd-tdqd")
     sp.add_argument("--k-max", type=int, default=128)
     sp.set_defaults(func=cmd_sensitivity)
 

@@ -2,7 +2,8 @@
 
 Top-level sections: waveform (required for most commands), sensor,
 readout, protocol, grid, experiment, output.  Unknown keys anywhere are
-rejected.  All values are SI units.
+rejected, and a value of the wrong type raises ``ConfigError`` naming
+``section.key``.  All values are SI units.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .waveform import WaveformSpec
 
 __all__ = ["ExperimentConfig", "load_config"]
 
-_SECTIONS = ("waveform", "sensor", "readout", "protocol", "grid", "experiment", "output")
-
 
 @dataclass
 class ExperimentConfig:
@@ -30,82 +29,102 @@ class ExperimentConfig:
     protocol: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     experiment: dict = field(default_factory=dict)
-    output: str = "."
+    output: str | None = None
 
 
-def _check_keys(section: str, data: dict, allowed: set[str]):
-    unknown = set(data) - allowed
+def _real(value) -> float:
+    """A number.  PyYAML reads exponents without a dot (150e-9, 2e6) and
+    'inf' as strings, so numeric strings are parsed here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value) -> int:
+    """An integral number.  A YAML integer is taken as it is, so a seed above
+    2**53 keeps every bit; any other number must be integral (2e6, not 2.5)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    x = _real(value)
+    if not x.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(x)
+
+
+def _list(convert):
+    """Converter of a YAML list whose items each go through convert."""
+    def parse(value) -> list:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return [convert(v) for v in value]
+    return parse
+
+
+def _allocator(value) -> str:
+    if value not in ("exact", "paper"):
+        raise ValueError(f"expected exact or paper, got {value!r}")
+    return value
+
+
+def _component(amplitude, harmonic=1, phase=0.0):
+    return amplitude, harmonic, phase
+
+
+def _table(path) -> tuple:
+    try:
+        with open(path, newline="") as fh:
+            return tuple((float(r[0]), float(r[1])) for r in csv.reader(fh)
+                         if r and not r[0].lstrip().startswith("#"))
+    except (OSError, ValueError, IndexError) as exc:
+        raise ValueError(f"cannot load waveform csv {path!r}: {exc}") from exc
+
+
+# section: (builder, {YAML key: (field, converter)})
+_SECTIONS = {
+    "waveform": (WaveformSpec, {"period": ("period_T", _real),
+                                "components": ("components",
+                                               _list(lambda c: _section("component", c))),
+                                "csv": ("tabulated", _table)}),
+    "component": (_component, {"amplitude": ("amplitude", _real),
+                               "harmonic": ("harmonic", _integer), "phase": ("phase", _real)}),
+    "sensor": (SensorParams, {"gamma_e": ("gamma_e", _real), "t2_star": ("T2_star", _real),
+                              "t2": ("T2", _real), "contrast": ("contrast_C", _real),
+                              "rabi_freq": ("rabi_freq", _real), "t_pi": ("t_pi", _real)}),
+    "readout": (ReadoutModel, {"shots": ("shots_R", _integer), "noise": ("noise_mode", str),
+                               "photons_per_shot": ("photons_per_shot_bright", _real),
+                               "seed": ("seed", _integer), "sigma_ref": ("sigma_ref", _real)}),
+    "protocol": (dict, {"kind": ("kind", Protocol), "k": ("k", _integer),
+                        "t_s": ("t_s", _real)}),
+    "grid": (dict, {"n1": ("n1", _integer), "n2": ("n2", _integer)}),
+    "experiment": (dict, {"budgets": ("budgets", _list(_integer)), "seeds": ("seeds", _integer),
+                          "allocator": ("allocator", _allocator)}),
+}
+
+
+def _check_keys(section: str, data, allowed):
+    if not isinstance(data, dict):
+        raise ConfigError(f"'{section}' must be a mapping, got {data!r}")
+    unknown = set(data) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) in '{section}': {sorted(unknown)}")
 
 
-def _build_waveform(data: dict) -> WaveformSpec:
-    _check_keys("waveform", data, {"period", "components", "csv"})
-    if "period" not in data:
-        raise ConfigError("waveform.period is required")
-    period = float(data["period"])
-    has_comp = "components" in data
-    has_csv = "csv" in data
-    if has_comp == has_csv:
-        raise ConfigError("waveform needs exactly one of 'components' or 'csv'")
-    if has_comp:
-        comps = []
-        for i, c in enumerate(data["components"]):
-            _check_keys(f"waveform.components[{i}]", c, {"amplitude", "harmonic", "phase"})
-            comps.append((float(c["amplitude"]), int(c.get("harmonic", 1)),
-                          float(c.get("phase", 0.0))))
+def _section(name: str, data):
+    """Convert each key of one section by its table entry, then build the section."""
+    build, keys = _SECTIONS[name]
+    data = {} if data is None else data
+    _check_keys(name, data, keys)
+    values = {}
+    for key, value in data.items():
+        attr, convert = keys[key]
         try:
-            return WaveformSpec(period_T=period, components=tuple(comps))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            values[attr] = convert(value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}.{key}: {exc}") from exc
     try:
-        with open(data["csv"], newline="") as fh:
-            rows = [(float(r[0]), float(r[1])) for r in csv.reader(fh)
-                    if r and not r[0].lstrip().startswith("#")]
-        return WaveformSpec(period_T=period, tabulated=tuple(rows))
-    except (OSError, ValueError, IndexError) as exc:
-        raise ConfigError(f"cannot load waveform csv {data['csv']!r}: {exc}") from exc
-
-
-_SENSOR_KEYS = {
-    "gamma_e": "gamma_e", "t2_star": "T2_star", "t2": "T2",
-    "contrast": "contrast_C", "rabi_freq": "rabi_freq", "t_pi": "t_pi",
-}
-
-_READOUT_KEYS = {
-    "shots": "shots_R", "noise": "noise_mode",
-    "photons_per_shot": "photons_per_shot_bright", "seed": "seed",
-    "sigma_ref": "sigma_ref",
-}
-
-
-def _build_sensor(data: dict) -> SensorParams:
-    _check_keys("sensor", data, set(_SENSOR_KEYS))
-    kwargs = {}
-    for key, val in data.items():
-        kwargs[_SENSOR_KEYS[key]] = float("inf") if val in ("inf", ".inf") else float(val)
-    try:
-        return SensorParams(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _build_readout(data: dict) -> ReadoutModel:
-    _check_keys("readout", data, set(_READOUT_KEYS))
-    kwargs = {_READOUT_KEYS[k]: v for k, v in data.items()}
-    if "shots_R" in kwargs:
-        kwargs["shots_R"] = int(kwargs["shots_R"])
-    if "seed" in kwargs:
-        kwargs["seed"] = int(kwargs["seed"])
-    try:
-        return ReadoutModel(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def _validated_dict(section: str, data: dict, allowed: set[str]) -> dict:
-    _check_keys(section, data, allowed)
-    return dict(data)
+        return build(**values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -117,34 +136,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {path!r}: {exc}") from exc
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    _check_keys("config", raw, set(_SECTIONS))
-
+    raw = {} if raw is None else raw
+    _check_keys("config", raw, [f.name for f in fields(ExperimentConfig)])
     cfg = ExperimentConfig()
-    if "waveform" in raw:
-        cfg.waveform = _build_waveform(raw["waveform"] or {})
-    if "sensor" in raw:
-        cfg.sensor = _build_sensor(raw["sensor"] or {})
-    if "readout" in raw:
-        cfg.readout = _build_readout(raw["readout"] or {})
-    if "protocol" in raw:
-        cfg.protocol = _validated_dict("protocol", raw["protocol"] or {},
-                                       {"kind", "k", "t_s"})
-        if "kind" in cfg.protocol:
-            try:
-                Protocol(cfg.protocol["kind"])
-            except ValueError as exc:
-                raise ConfigError(f"unknown protocol kind {cfg.protocol['kind']!r}") from exc
-    if "grid" in raw:
-        cfg.grid = _validated_dict("grid", raw["grid"] or {}, {"n1", "n2"})
-    if "experiment" in raw:
-        cfg.experiment = _validated_dict(
-            "experiment", raw["experiment"] or {},
-            {"budgets", "seeds", "t_s", "allocator"},
-        )
-    if "output" in raw:
-        cfg.output = str(raw["output"])
+    for name, value in raw.items():
+        setattr(cfg, name, str(value) if name == "output" else _section(name, value))
     return cfg

@@ -17,7 +17,7 @@ import numpy as np
 
 from .measurement import PhaseEnsemble
 from .sensor import SensorParams
-from .waveform import SampleGrid, WaveformSpec, evaluate
+from .waveform import SampleGrid, WaveformSpec, evaluate, make_grid
 
 __all__ = [
     "Reconstruction",
@@ -172,26 +172,14 @@ def recon_error_sq(rec: Reconstruction, truth: WaveformSpec, p: SensorParams,
 
 
 def deterministic_error_curve(truth: WaveformSpec, p: SensorParams, n1_list,
-                              t_s: float, mode: str = "bin-center"):
-    """delta_det vs n1 with noiseless converged bin values.
-
-    mode "bin-center" uses phi(t_i) as the converged value (default);
-    "window-mean" uses the window average of the truth.
-    """
-    if mode not in ("bin-center", "window-mean"):
-        raise ValueError(f"unknown mode {mode!r}")
-    from .waveform import make_grid
+                              t_s: float):
+    """delta_det vs n1 with the noiseless bin-center values phi(t_i) as the
+    converged estimates."""
     out = []
     for n1 in n1_list:
-        if n1 < 1:
-            raise ValueError(f"n1 must be >= 1, got {n1}")
         grid = make_grid(truth.period_T, int(n1))
         phi_true, weights = _truth_on_windows(truth, p, t_s, grid)
-        if mode == "bin-center":
-            phi_bar = phase_truth(truth, p, t_s, np.asarray(grid.instants))
-        else:
-            # window mean under the same rule: int phi dt/T normalized per window
-            phi_bar = np.sum(weights * phi_true, axis=1) / weights.sum(axis=1)
+        phi_bar = phase_truth(truth, p, t_s, np.asarray(grid.instants))
         det_sq = np.sum(weights * (phi_bar[:, None] - phi_true) ** 2)
         out.append((int(n1), float(np.sqrt(det_sq))))
     return out

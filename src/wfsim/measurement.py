@@ -69,6 +69,8 @@ class ReadoutModel:
     def __post_init__(self):
         if self.shots_R < 1:
             raise ValueError(f"shots_R must be >= 1, got {self.shots_R}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.noise_mode not in ("gaussian", "poisson", "none"):
             raise ValueError(f"unknown noise_mode {self.noise_mode!r}")
         if not self.photons_per_shot_bright > 0:

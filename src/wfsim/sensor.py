@@ -177,12 +177,11 @@ def signal(w: WaveformSpec, p: SensorParams, c: ProtocolConfig, readout_quadratu
     return envelope(c.kind, p, c.k, c.t_s, c.T) * (x if readout_quadrature == "X" else y)
 
 
-def sensitivity(p: SensorParams, c: ProtocolConfig, sigma_read: float | None = None,
-                t_overhead: float = 0.0) -> float:
+def sensitivity(p: SensorParams, c: ProtocolConfig, sigma_read: float | None = None) -> float:
     """Sensitivity B_min * sqrt(t_cycle) in T / sqrt(Hz).
 
     B_min = sigma_read / |dS/dB| with |dS/dB| = envelope * 2k * 2 gamma_e
-    t_s * C, and t_cycle = 2k (T + t_s) + t_overhead.  sigma_read defaults
+    t_s * C, and t_cycle = 2k (T + t_s).  sigma_read defaults
     to the per-cycle photon shot noise of the default readout model.
     Returns inf when the envelope has fully decayed.
     """
@@ -191,20 +190,19 @@ def sensitivity(p: SensorParams, c: ProtocolConfig, sigma_read: float | None = N
         sigma_read = photon_shot_noise(ReadoutModel(), p)
     env = envelope(c.kind, p, c.k, c.t_s, c.T)
     dSdB = env * c.n2 * 2.0 * p.gamma_e * c.t_s * p.contrast_C
-    t_cycle = c.n2 * (c.T + c.t_s) + t_overhead
+    t_cycle = c.n2 * (c.T + c.t_s)
     if dSdB <= 0 or not math.isfinite(dSdB) or env < 1e-300:
         return math.inf
     return (sigma_read / dSdB) * math.sqrt(t_cycle)
 
 
 def sensitivity_curve(p: SensorParams, kind: Protocol, k_values, t_s: float, T: float,
-                      t_i: float = 0.0, sigma_read: float | None = None,
-                      t_overhead: float = 0.0):
-    """Sensitivity vs k; returns (k_array, eta_array)."""
+                      sigma_read: float | None = None):
+    """Sensitivity vs k, with the window at t_i = 0; returns (k_array, eta_array)."""
     ks = np.asarray(list(k_values), dtype=int)
     etas = np.array([
-        sensitivity(p, ProtocolConfig(kind=kind, k=int(k), t_s=t_s, T=T, t_i=t_i),
-                    sigma_read=sigma_read, t_overhead=t_overhead)
+        sensitivity(p, ProtocolConfig(kind=kind, k=int(k), t_s=t_s, T=T, t_i=0.0),
+                    sigma_read=sigma_read)
         for k in ks
     ])
     return ks, etas

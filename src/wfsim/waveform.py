@@ -193,25 +193,19 @@ def _increment_integral(w: WaveformSpec, eps: float, n_grid: int) -> float:
     return float(np.mean(d**2))
 
 
-def estimate_holder(w: WaveformSpec, n_grid: int = 4096, eps_set=None) -> SmoothnessEstimate:
+def estimate_holder(w: WaveformSpec, n_grid: int = 4096) -> SmoothnessEstimate:
     """Estimate the Hoelder exponent q and constant M of the waveform.
 
     For candidate exponents q on a grid in (0, 1] the increment integral
-    H(q, eps) = (1/T) int |(b(t+eps)-b(t))/eps^q|^2 dt is evaluated over
-    eps_set (periodic extension).  The largest q for which H stays
+    H(q, eps) = (1/T) int |(b(t+eps)-b(t))/eps^q|^2 dt is evaluated at
+    eps = T/16 ... T/512 (periodic extension).  The largest q for which H stays
     bounded as eps shrinks (non-increasing within a factor 2 per halving)
     is returned, with M = T^q * sqrt(max_eps H(q, eps)).  q is capped at
     1: the zero-order hold only exploits first-order smoothness.
     """
     if n_grid < 64:
         raise ValueError(f"n_grid must be >= 64, got {n_grid}")
-    if eps_set is None:
-        eps_set = [w.period_T / 2**j for j in range(4, 10)]
-    eps_desc = np.array(sorted((float(e) for e in eps_set), reverse=True))
-    if eps_desc.size == 0:
-        raise ValueError("eps_set must not be empty")
-    if eps_desc[-1] <= 0 or eps_desc[0] >= w.period_T:
-        raise ValueError("each eps must satisfy 0 < eps < period_T")
+    eps_desc = np.array([w.period_T / 2**j for j in range(4, 10)])
 
     q_grid = np.arange(1, 21) * 0.05  # 0.05 .. 1.00
     # H(q, eps) = H(0, eps) / eps^(2q): one increment integral per eps

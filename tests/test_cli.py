@@ -12,9 +12,11 @@ from wfsim import (
     ReadoutModel,
     SensorParams,
     acquire,
+    calibrated_tone,
     load_config,
     photon_shot_noise,
     read_ensemble_csv,
+    run_scaling_experiment,
     sensitivity_curve,
 )
 from wfsim.cli import main
@@ -39,6 +41,13 @@ grid:
   n1: 8
 """
 
+WAVEFORM = """\
+waveform:
+  period: 9.6e-6
+  components:
+    - {amplitude: 5.906e-7, harmonic: 1}
+"""
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
@@ -61,7 +70,7 @@ class TestConfig:
         for section, key in [("sensor", "bogus"), ("sensor", "photon_rate_bright"),
                              ("sensor", "snr_ref"),
                              ("experiment", "scheme"), ("experiment", "decoherence"),
-                             ("protocol", "t_i")]:
+                             ("experiment", "t_s"), ("protocol", "t_i")]:
             path.write_text(f"{section}:\n  {key}: 1\n")
             with pytest.raises(ConfigError, match=key):
                 load_config(path)
@@ -98,6 +107,18 @@ class TestConfig:
         path.write_text("sensor:\n  t2_star: inf\n")
         assert math.isinf(load_config(path).sensor.T2_star)
 
+    def test_converts_values(self, tmp_path):
+        # PyYAML reads 2e6 and 150e-9 as strings; a YAML integer seed keeps all 64 bits
+        path = tmp_path / "exp.yaml"
+        path.write_text("readout:\n  shots: 2e6\n  seed: 18446744073709551615\n"
+                        "protocol:\n  kind: tdqd\n  t_s: 150e-9\n"
+                        "experiment:\n  budgets: [140, 5.6e2]\n")
+        cfg = load_config(path)
+        assert cfg.readout.shots_R == 2_000_000 and type(cfg.readout.shots_R) is int
+        assert cfg.readout.seed == 2**64 - 1
+        assert cfg.protocol == {"kind": Protocol.TDQD, "t_s": 150e-9}
+        assert cfg.experiment["budgets"] == [140, 560]
+
 
 class TestExitCodes:
     def test_bad_config_exits_2(self, tmp_path, capsys):
@@ -122,6 +143,33 @@ class TestExitCodes:
 
     def test_success_exits_0(self, cfg_path, tmp_path):
         assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("command, config, name", [
+        ("simulate", WAVEFORM + "grid:\n  n1: 2.7\n", "grid.n1"),
+        ("simulate", WAVEFORM + "readout:\n  shots: 2.5\n", "readout.shots"),
+        ("simulate", WAVEFORM + "experiment:\n  seeds: 2.9\n", "experiment.seeds"),
+        ("simulate", WAVEFORM.replace("harmonic: 1", "harmonic: 1.5"), "harmonic"),
+        ("simulate", WAVEFORM + "grid:\n  n1: abc\n", "grid.n1"),
+        ("simulate", WAVEFORM + "sensor:\n  t2_star: abc\n", "sensor.t2_star"),
+        ("scaling", "experiment:\n  allocator: bogus\n", "experiment.allocator"),
+        ("scaling", "experiment:\n  budgets: [140, 140.5]\n", "experiment.budgets"),
+        ("simulate", WAVEFORM + "readout:\n  seed: -1\n", "seed"),
+    ], ids=["n1-2.7", "shots-2.5", "seeds-2.9", "harmonic-1.5", "n1-abc", "t2_star-abc",
+            "allocator-bogus", "budgets-140.5", "seed-minus-1"])
+    def test_bad_value_exits_2(self, tmp_path, capsys, command, config, name):
+        # each was truncated, or ended in exit 1 or a traceback
+        path = tmp_path / "exp.yaml"
+        path.write_text(config)
+        out = tmp_path / "run"
+        scheme = ["--scheme", "sql"] if command == "scaling" else []
+        assert main([command, "--config", str(path), *scheme, "--out", str(out)]) == 2
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_2(self, cfg_path, tmp_path, capsys):
+        assert main(["simulate", "--config", str(cfg_path), "--seed", "-1",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "--seed" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -215,6 +263,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg_path), "--protocol", "ramsey-sql",
                      *flag, "--out", str(out)]) == 2
         assert flag[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--n1", "--seeds", "--k"])
+    def test_explicit_zero_overrides_config(self, cfg_path, tmp_path, capsys, flag):
+        # a 0 flag reaches acquire's checks instead of falling back to the config value
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), flag, "0", "--out", str(out)]) == 1
+        assert ">= " in capsys.readouterr().err
         assert not out.exists()
 
     def test_hql_n2_must_equal_2k(self, cfg_path, tmp_path, capsys):
@@ -351,6 +407,44 @@ class TestScaling:
         assert dat[0].startswith("#")
         assert len(dat) == 4
 
+    @pytest.mark.parametrize("experiment, flags", [
+        ("seeds: 1", []),
+        ("seeds: 3", ["--seeds", "0"]),
+        ("budgets: [140, 560]", []),
+        ("budgets: []", []),
+        ("allocator: paper", []),
+    ])
+    def test_inputs_without_a_finite_result_exit_2(self, tmp_path, capsys, experiment, flags):
+        # one seed has no confidence interval, fewer than 3 budgets no slope, and
+        # the paper rule is an sql rule
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"experiment:\n  {experiment}\n")
+        out = tmp_path / "run"
+        assert main(["scaling", "--scheme", "hql", "--config", str(path), *flags,
+                     "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_protocol_t_s_sets_the_window(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("protocol:\n  t_s: 300e-9\n"
+                        "experiment:\n  budgets: [140, 560, 2240]\n  seeds: 2\n")
+        assert main(["scaling", "--scheme", "hql", "--config", str(path),
+                     "--no-decoherence", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "scaling_hql.csv", newline="") as fh:
+            written = [float(r["delta_rad"]) for r in csv.DictReader(fh)]
+        p = SensorParams()
+
+        def deltas(t_s):
+            rows, _ = run_scaling_experiment("hql", [140, 560, 2240],
+                                             calibrated_tone(p, t_s, 9.6e-6), p,
+                                             ReadoutModel(), seeds=2, t_s=t_s,
+                                             decoherence=False)
+            return [r["delta"] for r in rows]
+
+        assert written == deltas(300e-9)
+        assert written != deltas(150e-9)
+
 
 class TestSensitivity:
     def test_pdd_curve(self, tmp_path, capsys):
@@ -380,6 +474,21 @@ class TestSensitivity:
                                     300e-9, 2.4e-6, sigma_read=sigma)[1])
         assert self._eta_opt(capsys) == float(f"{eta:.6g}")
         assert eta < default_eta / 10
+
+    @pytest.mark.parametrize("kind, flags, rc, written", [
+        ("tdqd", [], 0, "tdqd"),
+        ("tdqd", ["--protocol", "pdd-tdqd"], 0, "pdd-tdqd"),
+        ("ramsey-sql", [], 2, None),
+        ("pdd-tdqd", ["--k-max", "0"], 2, None),
+    ])
+    def test_protocol_from_config(self, tmp_path, kind, flags, rc, written):
+        # --protocol overrides protocol.kind, which overrides pdd-tdqd
+        path = tmp_path / "exp.yaml"
+        path.write_text(f"protocol:\n  kind: {kind}\n")
+        out = tmp_path / "run"
+        assert main(["sensitivity", "--config", str(path), *flags, "--out", str(out)]) == rc
+        files = sorted(p.name for p in out.glob("*")) if out.exists() else []
+        assert files == ([f"sensitivity_{written}.csv"] if written else [])
 
 
 class TestHolder:

@@ -192,15 +192,3 @@ class TestDeterministicCurve:
                                           [256], T_S)
         n1, d = curve[0]
         assert d * n1 == pytest.approx(phi0 * math.pi / math.sqrt(6.0), rel=1e-3)
-
-    def test_window_mean_mode_never_worse(self):
-        # the window mean minimizes the per-window L2 error
-        truth = tone(1e-6)
-        for n1 in (2, 8, 32):
-            (_, d_bc), = deterministic_error_curve(truth, P, [n1], T_S, mode="bin-center")
-            (_, d_wm), = deterministic_error_curve(truth, P, [n1], T_S, mode="window-mean")
-            assert d_wm <= d_bc + 1e-15
-
-    def test_rejects_unknown_mode(self):
-        with pytest.raises(ValueError):
-            deterministic_error_curve(tone(), P, [4], T_S, mode="bogus")

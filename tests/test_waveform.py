@@ -233,10 +233,6 @@ class TestHolder:
         w = WaveformSpec.harmonic(T_FIG4, 1e-6)
         with pytest.raises(ValueError):
             estimate_holder(w, n_grid=32)
-        with pytest.raises(ValueError):
-            estimate_holder(w, eps_set=[])
-        with pytest.raises(ValueError):
-            estimate_holder(w, eps_set=[2 * T_FIG4])
 
 
 def test_runs_without_scipy():
