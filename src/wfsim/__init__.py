@@ -20,7 +20,6 @@ from .config import ExperimentConfig, load_config
 from .errors import ConfigError, DecoheredSignalError, DomainError, WfsimError
 from .estimator import (
     ErrorReport,
-    Reconstruction,
     decompose_error,
     deterministic_error_curve,
     phase_to_tesla,

@@ -265,7 +265,7 @@ def statistical_error_curve(scheme: str, n2_list, w: WaveformSpec, p: SensorPara
     out = []
     for n2 in n2_list:
         phi_bars = _monte_carlo(scheme, w, p_run, m, n1, int(n2), t_s, n2, seeds,
-                                lambda ens: ens.estimates.mean(axis=1))
+                                reconstruct)
         delta_stat = float(np.sqrt(phi_bars.var(axis=0, ddof=1).mean()))
         out.append((int(n2), delta_stat))
     return out

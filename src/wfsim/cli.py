@@ -128,12 +128,12 @@ def cmd_reconstruct(args) -> int:
     if t_i is not None and not abs(t_i - grid_t) <= 1e-12 * grid_t:
         raise ValueError(f"ensemble acquired at t_i = {t_i!r}, but its one-bin grid "
                          f"scores it at T/2 = {grid_t!r}")
-    rec = reconstruct(ens)
+    phi_bar = reconstruct(ens)
     report = decompose_error(ens, cfg.waveform, cfg.sensor)
     out = _outdir(args, cfg)
     rows = [
-        (repr(t), repr(float(rec(t))), repr(float(phase_truth(cfg.waveform, cfg.sensor, ens.t_s, t))))
-        for t in ens.grid.instants
+        (repr(t), repr(float(phi)), repr(float(phase_truth(cfg.waveform, cfg.sensor, ens.t_s, t))))
+        for t, phi in zip(ens.grid.instants, phi_bar)
     ]
     _write_csv(out / "reconstruction.csv",
                ["t_seconds", "phi_tilde_rad", "phi_true_rad"], rows)

@@ -10,7 +10,7 @@ because both routes share the same quadrature nodes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,7 +20,6 @@ from .sensor import SensorParams
 from .waveform import SampleGrid, WaveformSpec, evaluate, make_grid
 
 __all__ = [
-    "Reconstruction",
     "ErrorReport",
     "reconstruct",
     "decompose_error",
@@ -36,28 +35,6 @@ _GL_POINTS = 64
 @lru_cache(maxsize=1)
 def _gl_nodes():
     return np.polynomial.legendre.leggauss(_GL_POINTS)
-
-
-@dataclass(frozen=True)
-class Reconstruction:
-    """Piecewise-constant phase estimate phi_tilde(t) on the hold windows."""
-
-    grid: SampleGrid
-    phi_bar: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        pb = np.asarray(self.phi_bar, dtype=float)
-        object.__setattr__(self, "phi_bar", pb)
-        if pb.shape != (self.grid.n1,):
-            raise ValueError(f"phi_bar must have length n1={self.grid.n1}")
-
-    def __call__(self, t):
-        """phi_tilde(t); windows are half-open [t_i - w/2, t_i + w/2)."""
-        t = np.asarray(t, dtype=float)
-        idx = np.floor(t / self.grid.window_width).astype(int)
-        idx = np.clip(idx, 0, self.grid.n1 - 1)
-        out = self.phi_bar[idx]
-        return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -94,11 +71,9 @@ class ErrorReport:
             fh.write("\n")
 
 
-def reconstruct(e: PhaseEnsemble) -> Reconstruction:
-    """Per-bin means phi_bar_i assembled into the ZOH estimator."""
-    if e.estimates.size == 0:
-        raise ValueError("ensemble is empty")
-    return Reconstruction(grid=e.grid, phi_bar=e.estimates.mean(axis=1))
+def reconstruct(e: PhaseEnsemble) -> np.ndarray:
+    """Per-bin means phi_bar_i: the ZOH estimate holds phi_bar_i on hold window i."""
+    return e.estimates.mean(axis=1)
 
 
 def phase_truth(w: WaveformSpec, p: SensorParams, t_s: float, t):
@@ -111,19 +86,13 @@ def phase_to_tesla(phi, p: SensorParams, t_s: float):
     return np.asarray(phi) / (-2.0 * p.gamma_e * t_s)
 
 
-def _window_nodes(grid: SampleGrid):
-    """Quadrature nodes/weights on every hold window; weights include dt/T."""
+def _truth_on_windows(w: WaveformSpec, p: SensorParams, t_s: float, grid: SampleGrid):
+    """Truth phase at the quadrature nodes of every hold window, shape (n1, 64),
+    and the node weights, which include dt/T."""
     xs, ws = _gl_nodes()
     half = grid.window_width / 2.0
-    centers = np.asarray(grid.instants)
-    nodes = centers[:, None] + half * xs[None, :]          # (n1, 64)
-    weights = (half * ws / grid.period_T)[None, :] * np.ones((grid.n1, 1))
-    return nodes, weights
-
-
-def _truth_on_windows(w: WaveformSpec, p: SensorParams, t_s: float, grid: SampleGrid):
-    nodes, weights = _window_nodes(grid)
-    return phase_truth(w, p, t_s, nodes), weights
+    nodes = np.asarray(grid.instants)[:, None] + half * xs[None, :]
+    return phase_truth(w, p, t_s, nodes), np.broadcast_to(half * ws / grid.period_T, nodes.shape)
 
 
 def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> ErrorReport:
@@ -136,8 +105,7 @@ def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> E
             f"period {e.grid.period_T:g}"
         )
     est = e.estimates
-    n_cols = est.shape[1]
-    phi_bar = est.mean(axis=1)
+    phi_bar = reconstruct(e)
     per_bin_stat = ((est - phi_bar[:, None]) ** 2).mean(axis=1)
     delta_stat_sq = float(per_bin_stat.mean())
 
@@ -160,15 +128,17 @@ def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> E
     )
 
 
-def recon_error_sq(rec: Reconstruction, truth: WaveformSpec, p: SensorParams,
-                   t_s: float) -> float:
-    """Reconstruction error (1/T) int (phi_tilde(t) - phi(t))^2 dt in rad^2.
+def recon_error_sq(phi_bar, truth: WaveformSpec, p: SensorParams, t_s: float) -> float:
+    """Reconstruction error (1/T) int (phi_tilde(t) - phi(t))^2 dt in rad^2 of the
+    ZOH estimate holding phi_bar_i on the i-th of len(phi_bar) bins of truth's period.
 
     This is the error of the mean-based ZOH estimator, the quantity the
     overall SQL/HQL scaling experiments track.
     """
-    phi_true, weights = _truth_on_windows(truth, p, t_s, rec.grid)
-    return float(np.sum(weights * (rec.phi_bar[:, None] - phi_true) ** 2))
+    phi_bar = np.asarray(phi_bar, dtype=float)
+    grid = make_grid(truth.period_T, len(phi_bar))
+    phi_true, weights = _truth_on_windows(truth, p, t_s, grid)
+    return float(np.sum(weights * (phi_bar[:, None] - phi_true) ** 2))
 
 
 def deterministic_error_curve(truth: WaveformSpec, p: SensorParams, n1_list,
@@ -177,9 +147,7 @@ def deterministic_error_curve(truth: WaveformSpec, p: SensorParams, n1_list,
     converged estimates."""
     out = []
     for n1 in n1_list:
-        grid = make_grid(truth.period_T, int(n1))
-        phi_true, weights = _truth_on_windows(truth, p, t_s, grid)
-        phi_bar = phase_truth(truth, p, t_s, np.asarray(grid.instants))
-        det_sq = np.sum(weights * (phi_bar[:, None] - phi_true) ** 2)
+        instants = np.asarray(make_grid(truth.period_T, int(n1)).instants)
+        det_sq = recon_error_sq(phase_truth(truth, p, t_s, instants), truth, p, t_s)
         out.append((int(n1), float(np.sqrt(det_sq))))
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DecoheredSignalError
+from .errors import DecoheredSignalError, WfsimError
 from .sensor import (
     Protocol,
     SensorParams,
@@ -83,10 +83,10 @@ class ReadoutModel:
 class PhaseEnsemble:
     """n1 x n_cols matrix of per-shot phase estimates on a sampling grid.
 
-    For SQL ensembles n_cols == n2 (one column per resource).  For HQL
-    ensembles each estimate already consumes n2 = 2k resources, so the
-    columns index independent repetitions of the full k-pass measurement
-    and ``collapsed`` is set.
+    For ramsey-sql ensembles n_cols == n2 (one column per resource).  The
+    k-pass protocols spend n2 = 2k resources on each estimate, so their
+    columns index independent repetitions of the full measurement and the
+    ensemble is ``collapsed``.
     """
 
     n1: int
@@ -95,18 +95,25 @@ class PhaseEnsemble:
     grid: SampleGrid
     t_s: float
     protocol: str
-    collapsed: bool = False
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         est = np.asarray(self.estimates, dtype=float)
         object.__setattr__(self, "estimates", est)
-        if est.shape[0] != self.n1 or est.ndim != 2:
-            raise ValueError(f"estimates must be (n1, n_cols), got {est.shape}")
+        Protocol(self.protocol)  # ValueError for an unknown protocol
+        if self.grid.n1 != self.n1:
+            raise ValueError(f"grid has {self.grid.n1} bins, ensemble n1 = {self.n1}")
+        if est.ndim != 2 or est.shape[0] != self.n1 or est.shape[1] < 1:
+            raise ValueError(f"estimates must be (n1, n_cols >= 1), got {est.shape}")
         if not self.collapsed and est.shape[1] != self.n2:
             raise ValueError("non-collapsed ensemble must have n2 columns")
         if not np.all(np.isfinite(est)):
             raise ValueError("all phase estimates must be finite")
+
+    @property
+    def collapsed(self) -> bool:
+        """Whether each estimate already spends all n2 resources (k-pass protocols)."""
+        return self.protocol != Protocol.RAMSEY_SQL
 
     @property
     def resources_total(self) -> int:
@@ -168,6 +175,10 @@ def _acquire(kind: Protocol, phases, env: float, k: int, n_cols: int, m: Readout
         )
     gain = _phase_gain(kind, k)
     big_phi = gain * np.asarray(phases, dtype=float)
+    peak = np.abs(big_phi).max()
+    if not peak < np.pi:
+        raise WfsimError(f"{kind.value} accumulated phase reaches {peak:.3g} rad at k={k}, "
+                         f"outside the atan2 branch (-pi, pi): the estimate would wrap")
     x, y = _quadratures(kind, np.cos(big_phi), np.sin(big_phi))
     s_true = np.broadcast_to((env * np.stack([x, y], axis=-1))[:, None, :],
                              (len(x), n_cols, 2))
@@ -205,13 +216,13 @@ def acquire(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
     grid and meta["t_i"] records the instant.  Entries are in the differential
     phase convention of ``phase_exact``.
 
-    Dynamic range: the accumulated phase must stay within one atan2 branch
-    (|Phi| < pi); beyond it the estimate wraps and biases.
+    Dynamic range: the noiseless accumulated phase must stay within one
+    atan2 branch (|Phi| < pi); beyond it the estimate would wrap, so
+    WfsimError is raised.
     """
     kind = Protocol(kind)
     T = w.period_T
-    meta = {"seed": m.seed, "protocol": kind.value, "t_s": t_s,
-            "noise_mode": m.noise_mode, "shots_R": m.shots_R}
+    meta = {"seed": m.seed, "noise_mode": m.noise_mode, "shots_R": m.shots_R}
     if not 0 < t_s <= T - 2 * p.t_pi:
         raise ValueError(f"t_s must be in (0, T - 2 t_pi], got {t_s}")
     if kind is Protocol.RAMSEY_SQL:
@@ -244,8 +255,7 @@ def acquire(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
     estimates = _acquire(kind, phases, envelope(kind, p, k, t_s, T), k, n_cols, m, p,
                          _ensemble_rng(m.seed))
     return PhaseEnsemble(n1=n1, n2=n2, estimates=estimates, grid=grid, t_s=t_s,
-                         protocol=kind.value, collapsed=kind is not Protocol.RAMSEY_SQL,
-                         meta=meta)
+                         protocol=kind.value, meta=meta)
 
 
 def acquire_ensemble_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel, n1: int,
@@ -317,16 +327,38 @@ def _first_repeat(cells: np.ndarray, filled: np.ndarray) -> int | None:
         seen.add(c)
 
 
+# sidecar keys read back, each with what it must be and its check
+_SIDECAR_KEYS = {
+    **dict.fromkeys(("n1", "n_cols", "n2"),
+                    ("an integer >= 1", lambda v: type(v) is int and v >= 1)),
+    **dict.fromkeys(("period_T", "t_s"), ("a finite number > 0",
+                                          lambda v: type(v) in (int, float) and 0 < v < math.inf)),
+    "protocol": (f"one of {[p.value for p in Protocol]}", lambda v: v in list(Protocol)),
+}
+
+
+def _read_sidecar(path: str) -> dict:
+    with open(path) as fh:
+        meta = json.load(fh)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {meta!r}")
+    for key, (want, ok) in _SIDECAR_KEYS.items():
+        if not ok(meta.get(key)):
+            got = repr(meta[key]) if key in meta else "no such key"
+            raise ValueError(f"{path}: {key!r} must be {want}, got {got}")
+    return meta
+
+
 def read_ensemble_csv(path) -> PhaseEnsemble:
     """Read an ensemble written by :func:`write_ensemble_csv`.
 
+    The sidecar must hold a valid n1, n_cols, n2, period_T, t_s and protocol.
     Rows may come in any order, but every cell must appear exactly once with
     a finite phase, and each row's t_i_seconds must be grid instant i
-    (relative tolerance 1e-12).  Each failure names its line.
+    (relative tolerance 1e-12).  Each failure names its line or sidecar key.
     """
     path = str(path)
-    with open(path + ".meta.json") as fh:
-        meta = json.load(fh)
+    meta = _read_sidecar(path + ".meta.json")
     n1, n_cols = meta["n1"], meta["n_cols"]
     grid = make_grid(meta["period_T"], n1)
     instants = np.array(grid.instants)
@@ -381,8 +413,7 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
         raise ValueError(f"ensemble CSV line {line} repeats cell ({i + 1}, {j + 1}); "
                          f"cell ({mi + 1}, {mj + 1}) is missing")
     return PhaseEnsemble(n1=n1, n2=meta["n2"], estimates=estimates, grid=grid,
-                         t_s=meta["t_s"], protocol=meta["protocol"],
-                         collapsed=meta["collapsed"], meta=meta)
+                         t_s=meta["t_s"], protocol=meta["protocol"], meta=meta)
 
 
 def with_seed(m: ReadoutModel, *entropy) -> ReadoutModel:

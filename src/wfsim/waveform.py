@@ -8,7 +8,7 @@ tesla).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class WaveformSpec:
     tabulated: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        if not self.period_T > 0:
-            raise ValueError(f"period_T must be positive, got {self.period_T}")
+        if not 0 < self.period_T < math.inf:
+            raise ValueError(f"period_T must be finite and positive, got {self.period_T}")
         if (self.components is None) == (self.tabulated is None):
             raise ValueError("exactly one of components/tabulated must be given")
         if self.components is not None:
@@ -61,6 +61,9 @@ class WaveformSpec:
                 raise ValueError("tabulated times must be strictly increasing")
             if ts[0] < 0 or ts[-1] > self.period_T:
                 raise ValueError("tabulated times must lie in [0, period_T]")
+        values = self.components if self.tabulated is None else self.tabulated
+        if not np.isfinite(values).all():
+            raise ValueError("amplitudes, phases and tabulated samples must be finite")
 
     @classmethod
     def harmonic(cls, period_T, amplitude, harmonic=1, phase=0.0):
@@ -88,24 +91,23 @@ class SmoothnessEstimate:
 
 @dataclass(frozen=True)
 class SampleGrid:
-    """Bin-center sample instants t_i = (i - 1/2) * T / n1, i = 1..n1.
+    """n1 bins of period T with bin-center instants t_i = (i - 1/2) * T / n1.
 
     The hold windows [t_i - T/(2 n1), t_i + T/(2 n1)] tile [0, T] exactly.
     """
 
+    period_T: float
     n1: int
-    instants: tuple[float, ...] = field(repr=False)
 
     def __post_init__(self):
+        if not 0 < self.period_T < math.inf:
+            raise ValueError(f"T must be finite and positive, got {self.period_T}")
         if self.n1 < 1:
             raise ValueError(f"n1 must be >= 1, got {self.n1}")
-        if len(self.instants) != self.n1:
-            raise ValueError("instants length must equal n1")
 
     @property
-    def period_T(self) -> float:
-        # first bin center is T / (2 n1)
-        return 2.0 * self.n1 * self.instants[0]
+    def instants(self) -> tuple[float, ...]:
+        return tuple((i + 0.5) * self.period_T / self.n1 for i in range(self.n1))
 
     @property
     def window_width(self) -> float:
@@ -180,10 +182,7 @@ def integrate(w: WaveformSpec, t0: float, t1: float) -> float:
 
 def make_grid(T: float, n1: int) -> SampleGrid:
     """Bin-center grid whose hold windows tile [0, T]."""
-    if not T > 0:
-        raise ValueError(f"T must be positive, got {T}")
-    instants = tuple((i + 0.5) * T / n1 for i in range(n1))
-    return SampleGrid(n1=n1, instants=instants)
+    return SampleGrid(period_T=T, n1=n1)
 
 
 def _increment_integral(w: WaveformSpec, eps: float, n_grid: int) -> float:

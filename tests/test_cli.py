@@ -166,6 +166,22 @@ class TestExitCodes:
         assert name in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["holder", "simulate"])
+    @pytest.mark.parametrize("config", [
+        WAVEFORM.replace("5.906e-7", "nan"),
+        WAVEFORM.replace("harmonic: 1}", "harmonic: 1, phase: inf}"),
+        WAVEFORM.replace("9.6e-6", "inf"),
+        "waveform:\n  period: 9.6e-6\n  csv: table.csv\n",
+    ], ids=["amplitude-nan", "phase-inf", "period-inf", "table-nan"])
+    def test_non_finite_waveform_exits_2(self, tmp_path, capsys, monkeypatch, command, config):
+        # a non-finite waveform is a config error, caught at load before any output
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.csv").write_text("0,0\n4.8e-6,nan\n9.6e-6,0\n")
+        (tmp_path / "exp.yaml").write_text(config)
+        assert main([command, "--config", "exp.yaml", "--out", "run"]) == 2
+        assert "config error: waveform" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_negative_seed_flag_exits_2(self, cfg_path, tmp_path, capsys):
         assert main(["simulate", "--config", str(cfg_path), "--seed", "-1",
                      "--out", str(tmp_path / "run")]) == 2
@@ -319,11 +335,10 @@ class TestReconstruct:
         loaded = json.loads((out / "error_report.json").read_text())
         assert loaded["delta_sq_rad2"] == rep.delta_sq
         assert loaded["delta_stat_sq_rad2"] == rep.delta_stat_sq
-        rec = reconstruct(ens)
         with open(out / "reconstruction.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 8
-        for row, t, phi in zip(rows, ens.grid.instants, rec.phi_bar):
+        for row, t, phi in zip(rows, ens.grid.instants, reconstruct(ens)):
             assert float(row["t_seconds"]) == t
             assert float(row["phi_tilde_rad"]) == phi
 
@@ -346,6 +361,18 @@ class TestReconstruct:
         assert main(["reconstruct", "--config", str(cfg_path),
                      "--ensemble", str(path), "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_sidecar_without_n_cols_exits_1(self, cfg_path, tmp_path, capsys):
+        # a missing sidecar key is a runtime error naming the key, not a traceback
+        out = tmp_path / "run"
+        main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seeds", "3"])
+        sidecar = out / "ensemble.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        del meta["n_cols"]
+        sidecar.write_text(json.dumps(meta))
+        assert main(["reconstruct", "--config", str(cfg_path),
+                     "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == 1
+        assert re.search(r"^error: .*'n_cols'", capsys.readouterr().err, re.M)
 
     @pytest.mark.parametrize("t_i, rc", [("450e-9", 1), ("4.8e-6", 0)])
     def test_single_instant_scored_only_at_t_half(self, tmp_path, capsys, t_i, rc):

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 from wfsim import (
     Protocol,
     ReadoutModel,
-    Reconstruction,
     SensorParams,
     WaveformSpec,
     acquire,
@@ -51,20 +50,7 @@ class TestReconstruction:
         est = np.array([[1.0, 3.0], [0.0, -2.0]])
         ens = PhaseEnsemble(n1=2, n2=2, estimates=est, grid=grid, t_s=T_S,
                             protocol="ramsey-sql")
-        rec = reconstruct(ens)
-        assert rec.phi_bar == pytest.approx([2.0, -1.0])
-
-    def test_piecewise_constant_lookup(self):
-        rec = Reconstruction(grid=make_grid(T_FIG4, 4), phi_bar=[1.0, 2.0, 3.0, 4.0])
-        w = T_FIG4 / 4
-        assert rec(0.0) == 1.0
-        assert rec(w - 1e-12) == 1.0
-        assert rec(w) == 2.0
-        assert rec(np.array([0.5 * w, 2.5 * w])) == pytest.approx([1.0, 3.0])
-
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            Reconstruction(grid=make_grid(T_FIG4, 4), phi_bar=[1.0, 2.0])
+        assert reconstruct(ens) == pytest.approx([2.0, -1.0])
 
     def test_phase_to_tesla_inverts_truth(self):
         w = tone(2e-6)
@@ -124,7 +110,7 @@ class TestDecomposition:
         truth = tone(float(rng.uniform(0.01e-6, 2e-6)))
         ens = synthetic_ensemble(truth, n1, n2, seed, noise=float(rng.uniform(0.001, 0.2)))
         shuffled = dataclasses.replace(ens, estimates=ens.estimates[:, rng.permutation(n2)])
-        np.testing.assert_allclose(reconstruct(shuffled).phi_bar, reconstruct(ens).phi_bar,
+        np.testing.assert_allclose(reconstruct(shuffled), reconstruct(ens),
                                    rtol=1e-12, atol=0)
         rep, rep_shuffled = decompose_error(ens, truth, P), decompose_error(shuffled, truth, P)
         for f in dataclasses.fields(rep):
@@ -162,15 +148,14 @@ class TestReconError:
         truth = WaveformSpec.from_table(T_FIG4, [0.0, T_FIG4], [1e-6, 1e-6])
         grid = make_grid(T_FIG4, 4)
         phi = phase_truth(truth, P, T_S, np.asarray(grid.instants))
-        rec = Reconstruction(grid=grid, phi_bar=phi)
-        assert recon_error_sq(rec, truth, P, T_S) == pytest.approx(0.0, abs=1e-28)
+        assert recon_error_sq(phi, truth, P, T_S) == pytest.approx(0.0, abs=1e-28)
 
     def test_matches_det_part_for_mean_based_estimator(self):
         truth = tone(0.2e-6)
         ens = synthetic_ensemble(truth, 8, 16, seed=5)
-        rec = reconstruct(ens)
         rep = decompose_error(ens, truth, P)
-        assert recon_error_sq(rec, truth, P, T_S) == pytest.approx(rep.delta_det_sq, rel=1e-12)
+        assert recon_error_sq(reconstruct(ens), truth, P, T_S) == pytest.approx(
+            rep.delta_det_sq, rel=1e-12)
 
 
 class TestDeterministicCurve:

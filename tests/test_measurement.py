@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -16,6 +17,7 @@ from wfsim import (
     ReadoutModel,
     SensorParams,
     WaveformSpec,
+    WfsimError,
     acquire,
     make_grid,
     phase_exact,
@@ -158,12 +160,13 @@ class TestEstimatePhase:
             self.estimates(w, P, ReadoutModel(noise_mode="none"), Protocol.TDQD, k=5000)
 
     def test_dynamic_range_wraps_beyond_branch(self):
-        # |Phi| > pi: the atan2 estimate jumps to the wrong branch
+        # |Phi| > pi: the atan2 estimate would jump to the wrong branch, so
+        # acquisition refuses it
         w = WaveformSpec.harmonic(T_FIG2, 1e-6)
         truth = self.truth(w)
         assert abs(2 * 32 * truth) > math.pi
-        ens = self.estimates(w, P_INF, ReadoutModel(noise_mode="none"), k=32)
-        assert abs(ens.estimates[0, 0] - truth) > 10 * abs(truth) * 1e-6
+        with pytest.raises(WfsimError, match="atan2 branch"):
+            self.estimates(w, P_INF, ReadoutModel(noise_mode="none"), k=32)
 
 
 class TestEnsembles:
@@ -220,10 +223,12 @@ class TestEnsembles:
 
     def test_tdqd_decoheres_before_pdd(self):
         # at t_s = 150 ns the tdqd envelope is e^-3.8 at k = 30 and e^-42, below the
-        # floor, at k = 100, where the decoupled envelope is still e^-8.7
+        # floor, at k = 100, where the decoupled envelope is still e^-8.7; the
+        # pdd-tdqd tone is 0.1 uT, as at 1 uT its accumulated phase (7.47 rad)
+        # would leave the atan2 branch
         with pytest.raises(DecoheredSignalError):
             acquire(Protocol.TDQD, tone(), P, ReadoutModel(), n1=4, n2=200, t_s=150e-9)
-        acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(), n1=4, n2=200, t_s=150e-9)
+        acquire(Protocol.PDD_TDQD, tone(0.1e-6), P, ReadoutModel(), n1=4, n2=200, t_s=150e-9)
 
     def test_kind_given_by_value(self):
         a = acquire("ramsey-sql", tone(), P, ReadoutModel(seed=5), 4, 3, 150e-9)
@@ -314,6 +319,29 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             PhaseEnsemble(n1=2, n2=3, estimates=np.zeros((2, 4)),
                           grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol="ramsey-sql")
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="n_cols >= 1"):
+            PhaseEnsemble(n1=2, n2=2, estimates=np.zeros((2, 0)),
+                          grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol="pdd-tdqd")
+
+    def test_grid_bins_must_equal_n1(self):
+        # else a 4-row ensemble on an 8-bin grid fails only inside decompose_error
+        with pytest.raises(ValueError, match="grid has 8 bins"):
+            PhaseEnsemble(n1=4, n2=3, estimates=np.zeros((4, 3)),
+                          grid=make_grid(T_FIG4, 8), t_s=150e-9, protocol="ramsey-sql")
+
+    def test_unknown_protocol_rejected(self):
+        with pytest.raises(ValueError):
+            PhaseEnsemble(n1=2, n2=3, estimates=np.zeros((2, 3)),
+                          grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol="sql")
+
+    @pytest.mark.parametrize("protocol, collapsed", [("ramsey-sql", False), ("tdqd", True),
+                                                     ("pdd-tdqd", True)])
+    def test_collapsed_follows_protocol(self, protocol, collapsed):
+        ens = PhaseEnsemble(n1=2, n2=2, estimates=np.zeros((2, 2)),
+                            grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol=protocol)
+        assert ens.collapsed is collapsed
 
 
 class TestCsvRoundTrip:
@@ -434,14 +462,40 @@ class TestCsvRoundTrip:
             read_ensemble_csv(path)
 
     def test_t_i_checked_against_rebuilt_grid_with_tolerance(self, tmp_path):
-        # period_T is stored as 2 n1 t_1, so the rebuilt instants can differ from
-        # the written ones in the last ulp
         ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=2), n1=75, n2=2, t_s=50e-9)
-        rebuilt = make_grid(ens.grid.period_T, 75).instants
-        assert rebuilt != ens.grid.instants
         path = tmp_path / "ens.csv"
         write_ensemble_csv(ens, path, deterministic=True)
         assert np.array_equal(read_ensemble_csv(path).estimates, ens.estimates)
+
+    @pytest.mark.parametrize("T", [T_FIG4, 1e-5])
+    @pytest.mark.parametrize("n1", [5, 75, 161])
+    def test_grid_round_trip_exact(self, tmp_path, T, n1):
+        # the read grid must be the writer's bit for bit, including where
+        # 2 n1 t_1 misses T (n1 = 75 at 9.6 us, n1 = 5 at 10 us)
+        grid = make_grid(T, n1)
+        ens = PhaseEnsemble(n1=n1, n2=2, estimates=np.zeros((n1, 2)), grid=grid,
+                            t_s=150e-9, protocol="pdd-tdqd")
+        write_ensemble_csv(ens, tmp_path / "ens.csv", deterministic=True)
+        back = read_ensemble_csv(tmp_path / "ens.csv")
+        assert back.grid == grid
+        assert back.grid.instants == grid.instants
+
+    @pytest.mark.parametrize("key, value", [
+        ("n1", None), ("n_cols", None), ("n2", None), ("period_T", None), ("t_s", None),
+        ("protocol", None), ("n1", 0), ("n_cols", 3.0), ("n2", True), ("period_T", -1.0),
+        ("t_s", "1.5e-7"), ("protocol", "sql"),
+    ], ids=lambda v: repr(v))
+    def test_sidecar_key_checked(self, tmp_path, key, value):
+        path = self._written(tmp_path)
+        sidecar = Path(str(path) + ".meta.json")
+        meta = json.loads(sidecar.read_text())
+        if value is None:
+            del meta[key]
+        else:
+            meta[key] = value
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=repr(key)):
+            read_ensemble_csv(path)
 
     def test_rows_in_any_order(self, tmp_path):
         ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=4), n1=5, n2=10,
@@ -479,7 +533,7 @@ class TestCsvRoundTrip:
     def test_round_trip_bit_exact_for_any_finite_float(self, estimates):
         n1, n_cols = estimates.shape
         ens = PhaseEnsemble(n1=n1, n2=2, estimates=estimates, grid=make_grid(T_FIG4, n1),
-                            t_s=150e-9, protocol="pdd-tdqd", collapsed=True)
+                            t_s=150e-9, protocol="pdd-tdqd")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ens.csv"
             write_ensemble_csv(ens, path, deterministic=True)

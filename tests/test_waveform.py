@@ -97,6 +97,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             WaveformSpec.from_table(1e-6, [0.0, 2e-6], [0, 1])
 
+    @pytest.mark.parametrize("make", [
+        lambda: WaveformSpec.harmonic(math.inf, 1e-6),
+        lambda: WaveformSpec.harmonic(1e-6, math.nan),
+        lambda: WaveformSpec.harmonic(1e-6, -math.inf),
+        lambda: WaveformSpec.harmonic(1e-6, 1e-6, phase=math.inf),
+        lambda: WaveformSpec.from_table(1e-6, [0.0, 0.5e-6, 1e-6], [0.0, math.nan, 0.0]),
+        lambda: WaveformSpec.from_table(1e-6, [0.0, math.nan], [0.0, 0.0]),
+    ], ids=["period-inf", "amplitude-nan", "amplitude-minus-inf", "phase-inf", "table-nan",
+            "time-nan"])
+    def test_rejects_non_finite(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestIntegrate:
     def test_zero_width(self):
@@ -184,6 +197,12 @@ class TestMakeGrid:
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
             make_grid(T_FIG4, 0)
+
+    @pytest.mark.parametrize("T", [9.6e-6, 1e-5])
+    def test_period_kept_exactly(self, T):
+        # 2 n1 t_1 misses T by an ulp for e.g. n1 = 75 at 9.6 us and n1 = 5 at
+        # 10 us, so the grid must keep T itself
+        assert all(make_grid(T, n1).period_T == T for n1 in range(1, 3000))
 
     @pytest.mark.parametrize("n1", [1, 2, 7, 16, 64])
     def test_windows_tile_period(self, n1):
