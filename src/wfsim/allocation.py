@@ -7,6 +7,7 @@ or 1 (HQL), q = 1 for the first-order differentiable test tones.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -45,8 +46,9 @@ class ErrorModel:
     q: float = 1.0
 
     def __post_init__(self):
-        if not (self.a_stat > 0 and self.c_det > 0):
-            raise ValueError("a_stat and c_det must be positive")
+        for name in ("a_stat", "p_stat", "c_det"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not 0 < self.q <= 1:
             raise ValueError(f"q must be in (0, 1], got {self.q}")
 
@@ -101,26 +103,45 @@ def _divisor_pairs(N: int):
                 yield N // d, d
 
 
+def _budget_pairs(N: int):
+    """(n1, N // n1) for the largest n1 of each distinct N // n1, in increasing n1."""
+    s = math.isqrt(N)
+    for n1 in range(1, s + 1):  # N // n1 differs for each n1 <= isqrt(N)
+        yield n1, N // n1
+    for n2 in range(N // (s + 1), 0, -1):
+        yield N // n2, n2
+
+
 def optimize_exact(m: ErrorModel, N: int, budget_mode: bool = False) -> Allocation:
-    """Integer-optimal (n1, n2): exhaustive over divisor pairs of N, or over
-    all n1 with n2 = floor(N/n1) when budget_mode allows n1*n2 <= N."""
+    """Integer-optimal (n1, n2): exhaustive over divisor pairs of N, or, when
+    budget_mode allows n1*n2 <= N, over every n1 with n2 = floor(N/n1).
+
+    Budget mode searches in O(sqrt(N)): c/n1^q falls as n1 grows, so among
+    the n1 sharing one n2 = floor(N/n1) the largest is best, and only the
+    at most 2*isqrt(N) distinct values of n2 are scored.  Ties go to the
+    smaller n1, so the result equals a scan of every n1 bit for bit.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if budget_mode:
-        candidates = ((n1, N // n1) for n1 in range(1, N + 1))
-    else:
-        candidates = _divisor_pairs(N)
     best = None
-    for n1, n2 in candidates:
+    for n1, n2 in _budget_pairs(N) if budget_mode else _divisor_pairs(N):
         d = m.predicted_delta_sq(n1, n2)
         if best is None or d < best[0] or (d == best[0] and n1 < best[1]):
             best = (d, n1, n2)
     d, n1, n2 = best
+    if budget_mode:
+        # rounding can give smaller n1 with the same n2 the same delta^2; the
+        # smallest of them wins the tie (none is scored when n1 is alone)
+        lo = N // (n2 + 1) + 1
+        n1 = lo + bisect.bisect_left(range(lo, n1), True,
+                                     key=lambda k: m.predicted_delta_sq(k, n2) <= d)
     return Allocation(n1=n1, n2=n2, N=N, predicted_delta_sq=d, budget_mode=budget_mode)
 
 
 def paper_rule_sql(N: int) -> tuple[int, int]:
     """Asymptotic SQL rounding rule n1 = round((2N)^(1/3)), n2 = N / n1."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     n1 = int(round((2 * N) ** (1.0 / 3.0)))
     if N % n1 != 0:
         raise ValueError(f"N={N} is not divisible by the rule's n1={n1}")

@@ -334,7 +334,9 @@ _SIDECAR_KEYS = {
     **dict.fromkeys(("period_T", "t_s"), ("a finite number > 0",
                                           lambda v: type(v) in (int, float) and 0 < v < math.inf)),
     "protocol": (f"one of {[p.value for p in Protocol]}", lambda v: v in list(Protocol)),
+    "t_i": ("a finite number", lambda v: type(v) in (int, float) and math.isfinite(v)),
 }
+_OPTIONAL_SIDECAR_KEYS = {"t_i"}  # written only for a single-instant ensemble
 
 
 def _read_sidecar(path: str) -> dict:
@@ -343,6 +345,8 @@ def _read_sidecar(path: str) -> dict:
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: expected a JSON object, got {meta!r}")
     for key, (want, ok) in _SIDECAR_KEYS.items():
+        if key in _OPTIONAL_SIDECAR_KEYS and key not in meta:
+            continue
         if not ok(meta.get(key)):
             got = repr(meta[key]) if key in meta else "no such key"
             raise ValueError(f"{path}: {key!r} must be {want}, got {got}")
@@ -352,7 +356,8 @@ def _read_sidecar(path: str) -> dict:
 def read_ensemble_csv(path) -> PhaseEnsemble:
     """Read an ensemble written by :func:`write_ensemble_csv`.
 
-    The sidecar must hold a valid n1, n_cols, n2, period_T, t_s and protocol.
+    The sidecar must hold a valid n1, n_cols, n2, period_T, t_s and protocol,
+    and a finite t_i if it has one.
     Rows may come in any order, but every cell must appear exactly once with
     a finite phase, and each row's t_i_seconds must be grid instant i
     (relative tolerance 1e-12).  Each failure names its line or sidecar key.

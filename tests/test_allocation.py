@@ -27,6 +27,22 @@ from wfsim import (
 P = SensorParams()
 
 
+def _budget_oracle(m, N):
+    # the O(N) budget-mode scan: every n1 with n2 = N // n1, smaller n1 wins a tie
+    best = None
+    for n1 in range(1, N + 1):
+        n2 = N // n1
+        d = m.predicted_delta_sq(n1, n2)
+        if best is None or d < best[0] or (d == best[0] and n1 < best[1]):
+            best = (d, n1, n2)
+    return best
+
+
+def _budget(m, N):
+    alloc = optimize_exact(m, N, budget_mode=True)
+    return alloc.predicted_delta_sq, alloc.n1, alloc.n2
+
+
 class TestErrorModel:
     def test_predicted_delta_sq_hand_case(self):
         m = ErrorModel(a_stat=0.2, p_stat=0.5, c_det=0.1, q=1.0)
@@ -38,6 +54,14 @@ class TestErrorModel:
             ErrorModel(a_stat=0.0)
         with pytest.raises(ValueError):
             ErrorModel(q=1.5)
+
+    @pytest.mark.parametrize("bad", [
+        {"p_stat": 0.0}, {"p_stat": -1.0}, {"p_stat": math.nan}, {"p_stat": math.inf},
+        {"a_stat": math.inf}, {"a_stat": math.nan}, {"c_det": math.inf}, {"c_det": math.nan},
+    ])
+    def test_rejects_non_finite_or_non_positive_constant(self, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            ErrorModel(**bad)
 
 
 class TestContinuousOptimum:
@@ -97,6 +121,44 @@ class TestOptimizeExact:
             assert budget.predicted_delta_sq <= strict.predicted_delta_sq
             assert budget.n1 * budget.n2 <= N
 
+    def test_budget_mode_equals_oracle_on_every_n(self):
+        for model in (SQL_MODEL, HQL_MODEL):
+            for N in range(1, 3001):
+                assert _budget(model, N) == _budget_oracle(model, N), (model, N)
+
+    @given(st.floats(1e-6, 1e3), st.floats(1e-16, 2.0), st.floats(1e-6, 1e3),
+           st.floats(1e-3, 1.0), st.integers(1, 3000))
+    @settings(max_examples=150, deadline=None)
+    def test_budget_mode_equals_oracle_for_any_model(self, a, p, c, q, N):
+        model = ErrorModel(a_stat=a, p_stat=p, c_det=c, q=q)
+        assert _budget(model, N) == _budget_oracle(model, N)
+
+    def test_budget_mode_rounding_tie_goes_to_smaller_n1(self):
+        # with p this small, delta^2 rounds to one value for n1 = 2702 .. 2769 (n2 = 1)
+        model = ErrorModel(a_stat=1.0, p_stat=3.4737170818190823e-16,
+                           c_det=9.905142288012867e-05, q=0.9651425798144134)
+        assert _budget(model, 2769) == _budget_oracle(model, 2769)
+        assert _budget(model, 2769)[1:] == (2702, 1)
+
+    @pytest.mark.parametrize("model", [SQL_MODEL, HQL_MODEL])
+    def test_budget_mode_scores_o_sqrt_n_candidates(self, model, monkeypatch):
+        calls = 0
+        score = ErrorModel.predicted_delta_sq
+
+        def counted(self, n1, n2):
+            nonlocal calls
+            calls += 1
+            return score(self, n1, n2)
+
+        monkeypatch.setattr(ErrorModel, "predicted_delta_sq", counted)
+        N = 200_000
+        optimize_exact(model, N, budget_mode=True)
+        assert calls <= 2 * math.isqrt(N) + 1
+
+    def test_budget_mode_large_n(self):
+        alloc = optimize_exact(HQL_MODEL, 20_000_000, budget_mode=True)
+        assert (alloc.n1, alloc.n2) == (3803, 5259)
+
     @given(st.integers(2, 5000))
     @settings(max_examples=80, deadline=None)
     def test_never_beaten_by_other_divisor_pair(self, N):
@@ -115,6 +177,11 @@ class TestPaperRule:
     def test_rejects_indivisible(self):
         with pytest.raises(ValueError):
             paper_rule_sql(100)  # round((200)^(1/3)) = 6, 100 % 6 != 0
+
+    @pytest.mark.parametrize("N", [0, -3])
+    def test_rejects_n_below_1(self, N):
+        with pytest.raises(ValueError, match=f"N must be >= 1, got {N}"):
+            paper_rule_sql(N)
 
 
 class TestTables:

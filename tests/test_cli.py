@@ -374,6 +374,20 @@ class TestReconstruct:
                      "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == 1
         assert re.search(r"^error: .*'n_cols'", capsys.readouterr().err, re.M)
 
+    def test_sidecar_non_numeric_t_i_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text(GOOD_CONFIG.replace("grid:\n  n1: 8\n", ""))
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--t-i", "4.8e-6", "--seeds", "3",
+                     "--out", str(out)]) == 0
+        sidecar = out / "ensemble.csv.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["t_i"] = "abc"
+        sidecar.write_text(json.dumps(meta))
+        assert main(["reconstruct", "--config", str(path),
+                     "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == 1
+        assert re.search(r"^error: .*'t_i'", capsys.readouterr().err, re.M)
+
     @pytest.mark.parametrize("t_i, rc", [("450e-9", 1), ("4.8e-6", 0)])
     def test_single_instant_scored_only_at_t_half(self, tmp_path, capsys, t_i, rc):
         # a --t-i ensemble sits on the one-bin grid, whose instant is T/2; scoring
@@ -396,6 +410,11 @@ class TestAllocate:
     def test_paper_rule(self, capsys):
         assert main(["allocate", "--scheme", "sql", "--n", "1984", "--paper-rule"]) == 0
         assert capsys.readouterr().out.strip() == "n1=16,n2=124"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_paper_rule_rejects_n_below_1(self, capsys, n):
+        assert main(["allocate", "--scheme", "sql", "--n", n, "--paper-rule"]) == 1
+        assert re.search(rf"^error: N must be >= 1, got {n}$", capsys.readouterr().err, re.M)
 
     def test_paper_rule_requires_sql(self, capsys):
         assert main(["allocate", "--scheme", "hql", "--n", "560", "--paper-rule"]) == 2
