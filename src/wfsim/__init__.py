@@ -28,11 +28,14 @@ from .estimator import (
     reconstruct,
 )
 from .measurement import (
+    AcquisitionPlan,
     PhaseEnsemble,
     ReadoutModel,
     acquire,
     acquire_ensemble_hql,
+    acquire_planned,
     photon_shot_noise,
+    plan_acquisition,
     read_ensemble_csv,
     with_seed,
     write_ensemble_csv,

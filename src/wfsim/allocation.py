@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from .estimator import recon_error_sq, reconstruct
-from .measurement import ReadoutModel, acquire, with_seed
+from .measurement import ReadoutModel, acquire_planned, plan_acquisition, with_seed
 from .sensor import Protocol, SensorParams
 from .waveform import WaveformSpec
 
@@ -214,15 +215,27 @@ def calibrated_tone(p: SensorParams, t_s: float, period_T: float,
     return WaveformSpec.harmonic(period_T, amplitude, harmonic=harmonic)
 
 
-def _monte_carlo(scheme: str, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
-                 n1: int, n2: int, t_s: float, key: int, seeds: int, score) -> np.ndarray:
-    """score(ensemble) for seeds s = 0 .. seeds-1, each acquired with the
-    readout model with_seed(m, key, s)."""
+def _scheme_kind(scheme: str) -> Protocol:
     kind = {"sql": Protocol.RAMSEY_SQL, "hql": Protocol.PDD_TDQD}.get(scheme)
     if kind is None:
         raise ValueError(f"unknown scheme {scheme!r}")
-    return np.array([score(acquire(kind, w, p, with_seed(m, key, s), n1, n2, t_s))
-                     for s in range(seeds)])
+    return kind
+
+
+def _check_seeds(seeds: int) -> None:
+    if seeds < 2:
+        raise ValueError(f"seeds must be >= 2 for a spread over seeds, got {seeds}")
+
+
+def _monte_carlo(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
+                 n1: int, n2: int, t_s: float, key: int, seeds: int) -> np.ndarray:
+    """(seeds, n1) per-bin means, row s reconstructed from the ensemble drawn
+    with the readout model with_seed(m, key, s); one plan serves every seed."""
+    plan = plan_acquisition(kind, w, p, n1, n2, t_s)
+    phi_bars = np.empty((seeds, n1))
+    for s in range(seeds):
+        phi_bars[s] = reconstruct(acquire_planned(plan, with_seed(m, key, s)))
+    return phi_bars
 
 
 def run_scaling_experiment(scheme: str, N_list, w: WaveformSpec, p: SensorParams,
@@ -231,18 +244,26 @@ def run_scaling_experiment(scheme: str, N_list, w: WaveformSpec, p: SensorParams
     """Simulated overall error delta vs total budget N.
 
     For each N the budget is split by the scheme's fitted-constant
-    optimum ("exact") or the published rounding rule ("paper"), `seeds`
-    independent ensembles are acquired, reconstructed, and scored by the
-    ZOH reconstruction error.  Returns (rows, slope) where each row is a
-    dict with N, n1, n2, delta, delta_ci.
+    optimum ("exact") or, for sql only, the published rounding rule
+    ("paper"); `seeds` >= 2 independent ensembles are acquired,
+    reconstructed, and scored by the ZOH reconstruction error.  Returns
+    (rows, slope) where each row is a dict with N, n1, n2, delta, delta_ci.
     """
+    import logging  # here, not at the top: it adds about 5% to `import wfsim`
+
+    log = logging.getLogger(__name__)
+    kind = _scheme_kind(scheme)
     if allocator not in ("exact", "paper"):
         raise ValueError(f"unknown allocator {allocator!r}")
+    if allocator == "paper" and scheme != "sql":
+        raise ValueError(f"allocator 'paper' applies to the sql scheme only, got {scheme!r}")
+    _check_seeds(seeds)
     model = SQL_MODEL if scheme == "sql" else HQL_MODEL
     p_run = p if decoherence else p.without_decoherence()
     rows = []
     for N in N_list:
-        if allocator == "paper" and scheme == "sql":
+        t0 = time.perf_counter()
+        if allocator == "paper":
             n1, n2 = paper_rule_sql(N)
         else:
             alloc = optimize_exact(model, N)
@@ -259,15 +280,15 @@ def run_scaling_experiment(scheme: str, N_list, w: WaveformSpec, p: SensorParams
             if alloc is None:
                 raise ValueError(f"N={N} admits no even-n2 allocation")
             _, n1, n2 = alloc
-        deltas = _monte_carlo(
-            scheme, w, p_run, m, n1, n2, t_s, N, seeds,
-            lambda ens: math.sqrt(recon_error_sq(reconstruct(ens), w, p_run, t_s)),
-        )
+        phi_bars = _monte_carlo(kind, w, p_run, m, n1, n2, t_s, N, seeds)
+        deltas = np.sqrt(recon_error_sq(phi_bars, w, p_run, t_s))
         rows.append({
             "N": int(N), "n1": n1, "n2": n2,
             "delta": float(deltas.mean()),
             "delta_ci": float(1.96 * deltas.std(ddof=1) / math.sqrt(seeds)),
         })
+        log.info("scaling %s N=%d n1=%d n2=%d seeds=%d %.3fs",
+                 scheme, N, n1, n2, seeds, time.perf_counter() - t0)
     slope = math.nan
     if len(rows) >= 3:
         slope, _, _ = fit_loglog([(r["N"], r["delta"]) for r in rows])
@@ -277,16 +298,17 @@ def run_scaling_experiment(scheme: str, N_list, w: WaveformSpec, p: SensorParams
 def statistical_error_curve(scheme: str, n2_list, w: WaveformSpec, p: SensorParams,
                             m: ReadoutModel, n1: int = 4, t_s: float = 150e-9,
                             seeds: int = 200, decoherence: bool = False):
-    """delta_stat vs n2: std over seeds of the per-bin phase estimates.
+    """delta_stat vs n2: std over seeds >= 2 of the per-bin phase estimates.
 
     For SQL the per-bin estimate is the column mean of n2 single-resource
     shots; for HQL it is the single n2-resource (k = n2/2) estimate.
     """
+    kind = _scheme_kind(scheme)
+    _check_seeds(seeds)
     p_run = p if decoherence else p.without_decoherence()
     out = []
     for n2 in n2_list:
-        phi_bars = _monte_carlo(scheme, w, p_run, m, n1, int(n2), t_s, n2, seeds,
-                                reconstruct)
+        phi_bars = _monte_carlo(kind, w, p_run, m, n1, int(n2), t_s, n2, seeds)
         delta_stat = float(np.sqrt(phi_bars.var(axis=0, ddof=1).mean()))
         out.append((int(n2), delta_stat))
     return out

@@ -128,17 +128,27 @@ def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> E
     )
 
 
-def recon_error_sq(phi_bar, truth: WaveformSpec, p: SensorParams, t_s: float) -> float:
+def recon_error_sq(phi_bar, truth: WaveformSpec, p: SensorParams, t_s: float):
     """Reconstruction error (1/T) int (phi_tilde(t) - phi(t))^2 dt in rad^2 of the
     ZOH estimate holding phi_bar_i on the i-th of len(phi_bar) bins of truth's period.
 
     This is the error of the mean-based ZOH estimator, the quantity the
-    overall SQL/HQL scaling experiments track.
+    overall SQL/HQL scaling experiments track.  A (rows, n1) stack of
+    estimates is scored row by row against one truth evaluation and gives
+    an array of one error per row.  Every phi_bar_i must be finite.
     """
     phi_bar = np.asarray(phi_bar, dtype=float)
-    grid = make_grid(truth.period_T, len(phi_bar))
+    if phi_bar.ndim not in (1, 2):
+        raise ValueError(f"phi_bar must be (n1,) or (rows, n1), got shape {phi_bar.shape}")
+    rows = phi_bar.reshape(-1, phi_bar.shape[-1])
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        r, i = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"phi_bar is not finite in row {r}, bin {i}: {float(rows[r, i])!r}")
+    grid = make_grid(truth.period_T, phi_bar.shape[-1])
     phi_true, weights = _truth_on_windows(truth, p, t_s, grid)
-    return float(np.sum(weights * (phi_bar[:, None] - phi_true) ** 2))
+    err = np.array([np.sum(weights * (row[:, None] - phi_true) ** 2) for row in rows])
+    return float(err[0]) if phi_bar.ndim == 1 else err
 
 
 def deterministic_error_curve(truth: WaveformSpec, p: SensorParams, n1_list,

@@ -34,7 +34,10 @@ __all__ = [
     "ReadoutModel",
     "PhaseEnsemble",
     "photon_shot_noise",
+    "AcquisitionPlan",
     "acquire",
+    "plan_acquisition",
+    "acquire_planned",
     "acquire_ensemble_hql",
     "write_ensemble_csv",
     "read_ensemble_csv",
@@ -164,10 +167,9 @@ def _noise_scale(kind: Protocol, m: ReadoutModel) -> float:
     return 0.5 if kind is Protocol.RAMSEY_SQL and m.noise_mode == "gaussian" else 1.0
 
 
-def _acquire(kind: Protocol, phases, env: float, k: int, n_cols: int, m: ReadoutModel,
-             p: SensorParams, rng: np.random.Generator) -> np.ndarray:
-    """n_cols noisy two-quadrature readouts per window phase, inverted by atan2
-    back to the differential convention: a (len(phases), n_cols) matrix."""
+def _signal(kind: Protocol, phases, env: float, k: int) -> tuple[np.ndarray, float]:
+    """Noiseless two-quadrature readout of each window phase, scaled by the
+    envelope: a (len(phases), 2) matrix, and the protocol's phase gain."""
     if env < ENVELOPE_FLOOR:
         raise DecoheredSignalError(
             f"{kind.value} envelope {env:.3g} below {ENVELOPE_FLOOR:g} at k={k}: "
@@ -180,8 +182,14 @@ def _acquire(kind: Protocol, phases, env: float, k: int, n_cols: int, m: Readout
         raise WfsimError(f"{kind.value} accumulated phase reaches {peak:.3g} rad at k={k}, "
                          f"outside the atan2 branch (-pi, pi): the estimate would wrap")
     x, y = _quadratures(kind, np.cos(big_phi), np.sin(big_phi))
-    s_true = np.broadcast_to((env * np.stack([x, y], axis=-1))[:, None, :],
-                             (len(x), n_cols, 2))
+    return env * np.stack([x, y], axis=-1), gain
+
+
+def _acquire(kind: Protocol, signal: np.ndarray, gain: float, n_cols: int, m: ReadoutModel,
+             p: SensorParams, rng: np.random.Generator) -> np.ndarray:
+    """n_cols noisy readouts of each noiseless signal row, inverted by atan2
+    back to the differential convention: a (len(signal), n_cols) matrix."""
+    s_true = np.broadcast_to(signal[:, None, :], (len(signal), n_cols, 2))
     noisy = _noisy_signal(s_true, m, p, rng, sigma_scale=_noise_scale(kind, m))
     cos_hat, sin_hat = _quadratures(kind, noisy[..., 0], noisy[..., 1])
     return np.arctan2(sin_hat, cos_hat) / gain
@@ -220,9 +228,35 @@ def acquire(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
     atan2 branch (|Phi| < pi); beyond it the estimate would wrap, so
     WfsimError is raised.
     """
+    return acquire_planned(plan_acquisition(kind, w, p, n1, n2, t_s, n_batches, t_i), m)
+
+
+@dataclass(frozen=True, eq=False)
+class AcquisitionPlan:
+    """The seed-independent part of one acquisition, made by
+    :func:`plan_acquisition`: the checked arguments, the grid, the noiseless
+    (X, Y) signal of each window (read-only) and the phase gain."""
+
+    kind: Protocol
+    p: SensorParams
+    n2: int
+    t_s: float
+    n_cols: int
+    grid: SampleGrid
+    signal: np.ndarray = field(repr=False)
+    gain: float
+    meta: dict
+
+
+def plan_acquisition(kind: Protocol, w: WaveformSpec, p: SensorParams, n1: int, n2: int,
+                     t_s: float, n_batches: int = 1,
+                     t_i: float | None = None) -> AcquisitionPlan:
+    """Check the arguments of :func:`acquire` and compute everything it needs
+    but the noise draw, so seeded ensembles of one (kind, w, p, n1, n2, t_s)
+    share one plan; each is drawn by :func:`acquire_planned`."""
     kind = Protocol(kind)
     T = w.period_T
-    meta = {"seed": m.seed, "noise_mode": m.noise_mode, "shots_R": m.shots_R}
+    meta = {}
     if not 0 < t_s <= T - 2 * p.t_pi:
         raise ValueError(f"t_s must be in (0, T - 2 t_pi], got {t_s}")
     if kind is Protocol.RAMSEY_SQL:
@@ -252,10 +286,19 @@ def acquire(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
         instants = [t_i]
         meta["t_i"] = t_i
     phases = _centered_window_phases(w, p, instants, t_s)
-    estimates = _acquire(kind, phases, envelope(kind, p, k, t_s, T), k, n_cols, m, p,
+    signal, gain = _signal(kind, phases, envelope(kind, p, k, t_s, T), k)
+    signal.flags.writeable = False
+    return AcquisitionPlan(kind=kind, p=p, n2=n2, t_s=t_s, n_cols=n_cols, grid=grid,
+                           signal=signal, gain=gain, meta=meta)
+
+
+def acquire_planned(plan: AcquisitionPlan, m: ReadoutModel) -> PhaseEnsemble:
+    """The ensemble of :func:`acquire` for a plan, drawn with m's noise and seed."""
+    meta = {"seed": m.seed, "noise_mode": m.noise_mode, "shots_R": m.shots_R, **plan.meta}
+    estimates = _acquire(plan.kind, plan.signal, plan.gain, plan.n_cols, m, plan.p,
                          _ensemble_rng(m.seed))
-    return PhaseEnsemble(n1=n1, n2=n2, estimates=estimates, grid=grid, t_s=t_s,
-                         protocol=kind.value, meta=meta)
+    return PhaseEnsemble(n1=plan.grid.n1, n2=plan.n2, estimates=estimates, grid=plan.grid,
+                         t_s=plan.t_s, protocol=plan.kind.value, meta=meta)
 
 
 def acquire_ensemble_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel, n1: int,

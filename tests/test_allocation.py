@@ -1,4 +1,6 @@
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,17 +13,24 @@ from wfsim import (
     SQL_MODEL,
     TABLE_HQL,
     TABLE_SQL,
+    DecoheredSignalError,
     ErrorModel,
+    Protocol,
     ReadoutModel,
     SensorParams,
+    WfsimError,
+    acquire,
     calibrated_tone,
     continuous_optimum,
     fit_loglog,
     optimize_exact,
     paper_rule_sql,
+    recon_error_sq,
+    reconstruct,
     run_scaling_experiment,
     statistical_error_curve,
     validate_paper_tables,
+    with_seed,
 )
 
 P = SensorParams()
@@ -36,6 +45,54 @@ def _budget_oracle(m, N):
         if best is None or d < best[0] or (d == best[0] and n1 < best[1]):
             best = (d, n1, n2)
     return best
+
+
+KINDS = {"sql": Protocol.RAMSEY_SQL, "hql": Protocol.PDD_TDQD}
+
+
+def _seed_phi_bar(scheme, w, p, m, n1, n2, key, s):
+    # one full acquisition per (budget, seed), as before acquisition was
+    # planned once per budget
+    return reconstruct(acquire(KINDS[scheme], w, p, with_seed(m, key, s), n1, n2, 150e-9))
+
+
+def _scaling_oracle(scheme, N_list, w, p, m, seeds, decoherence=True, allocator="exact"):
+    # the per-seed loop: allocate, then acquire, reconstruct and score every seed
+    model = SQL_MODEL if scheme == "sql" else HQL_MODEL
+    p_run = p if decoherence else p.without_decoherence()
+    rows = []
+    for N in N_list:
+        if allocator == "paper":
+            n1, n2 = paper_rule_sql(N)
+        else:
+            alloc = optimize_exact(model, N)
+            n1, n2 = alloc.n1, alloc.n2
+        if scheme == "hql" and n2 % 2 != 0:
+            _, n1, n2 = min((model.predicted_delta_sq(a, N // a), a, N // a)
+                            for a in range(1, N + 1) if N % a == 0 and (N // a) % 2 == 0)
+        deltas = np.array([
+            math.sqrt(recon_error_sq(_seed_phi_bar(scheme, w, p_run, m, n1, n2, N, s),
+                                     w, p_run, 150e-9))
+            for s in range(seeds)])
+        rows.append({"N": N, "n1": n1, "n2": n2, "delta": float(deltas.mean()),
+                     "delta_ci": float(1.96 * deltas.std(ddof=1) / math.sqrt(seeds))})
+    return rows
+
+
+def _stat_oracle(scheme, n2_list, w, p, m, seeds, decoherence=False, n1=4):
+    p_run = p if decoherence else p.without_decoherence()
+    out = []
+    for n2 in n2_list:
+        phi_bars = np.array([_seed_phi_bar(scheme, w, p_run, m, n1, n2, n2, s)
+                             for s in range(seeds)])
+        out.append((n2, float(np.sqrt(phi_bars.var(axis=0, ddof=1).mean()))))
+    return out
+
+
+def _raised(f, *args, **kwargs):
+    with pytest.raises(Exception) as info:
+        f(*args, **kwargs)
+    return type(info.value), str(info.value)
 
 
 def _budget(m, N):
@@ -275,3 +332,102 @@ class TestScalingExperiment:
             run_scaling_experiment("bogus", [12], w, P, ReadoutModel())
         with pytest.raises(ValueError):
             run_scaling_experiment("hql", [12], w, P, ReadoutModel(), allocator="bogus")
+
+    def test_unknown_scheme_rejected_before_any_allocation(self, monkeypatch):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr("wfsim.allocation.optimize_exact", no_allocation)
+        monkeypatch.setattr("wfsim.allocation.paper_rule_sql", no_allocation)
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        for allocator in ("exact", "paper"):
+            with pytest.raises(ValueError, match="unknown scheme 'bogus'"):
+                run_scaling_experiment("bogus", [12], w, P, ReadoutModel(), seeds=2,
+                                       allocator=allocator)
+
+    def test_paper_allocator_is_sql_only(self):
+        # it used to run the exact allocation for hql without a word
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        with pytest.raises(ValueError, match="sql scheme only"):
+            run_scaling_experiment("hql", [140, 560, 2240], w, P, ReadoutModel(), seeds=2,
+                                   allocator="paper")
+
+    @pytest.mark.parametrize("seeds", [1, 0, -2])
+    def test_rejects_fewer_than_two_seeds(self, seeds):
+        # one seed gave a NaN delta_ci and a RuntimeWarning
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        with pytest.raises(ValueError, match="seeds must be >= 2"):
+            run_scaling_experiment("sql", [4, 32, 60], w, P, ReadoutModel(), seeds=seeds)
+        with pytest.raises(ValueError, match="seeds must be >= 2"):
+            statistical_error_curve("hql", [4, 16], w, P, ReadoutModel(), seeds=seeds)
+
+    def test_statistical_curve_rejects_unknown_scheme(self):
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            statistical_error_curve("bogus", [4], w, P, ReadoutModel())
+
+    def test_logs_one_line_per_budget(self, caplog):
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        with caplog.at_level(logging.INFO, logger="wfsim"):
+            run_scaling_experiment("hql", [140, 234, 560], w, P, ReadoutModel(), seeds=3,
+                                   decoherence=False)
+        lines = [r.getMessage() for r in caplog.records if r.name == "wfsim.allocation"]
+        assert len(lines) == 3
+        for line, (N, n1, n2) in zip(lines, [(140, 10, 14), (234, 13, 18), (560, 20, 28)]):
+            assert re.fullmatch(rf"scaling hql N={N} n1={n1} n2={n2} seeds=3 \d+\.\d{{3}}s",
+                                line), line
+
+
+@pytest.mark.parametrize("decoherence", [True, False])
+@pytest.mark.parametrize("noise_mode", ["gaussian", "poisson", "none"])
+@pytest.mark.parametrize("scheme", ["sql", "hql"])
+class TestPerSeedOracle:
+    """Planning each budget's acquisition once changes no bit of the results."""
+
+    def test_scaling_rows_bit_identical(self, scheme, noise_mode, decoherence):
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        m = ReadoutModel(seed=7, noise_mode=noise_mode)
+        table = TABLE_SQL if scheme == "sql" else TABLE_HQL
+        budgets = [N for N, _, _ in table[:4]] + ([234] if scheme == "hql" else [])
+        rows, slope = run_scaling_experiment(scheme, budgets, w, P, m, seeds=5,
+                                             decoherence=decoherence)
+        want = _scaling_oracle(scheme, budgets, w, P, m, 5, decoherence)
+        assert rows == want
+        assert slope == fit_loglog([(r["N"], r["delta"]) for r in want])[0]
+
+    def test_statistical_curve_bit_identical(self, scheme, noise_mode, decoherence):
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        m = ReadoutModel(seed=3, noise_mode=noise_mode)
+        got = statistical_error_curve(scheme, [4, 16], w, P, m, seeds=6,
+                                      decoherence=decoherence)
+        assert got == _stat_oracle(scheme, [4, 16], w, P, m, 6, decoherence)
+
+
+class TestPerSeedOracleErrors:
+    def test_paper_allocator_bit_identical(self):
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        budgets = [N for N, _, _ in TABLE_SQL[:4]]
+        rows, _ = run_scaling_experiment("sql", budgets, w, P, ReadoutModel(seed=2), seeds=4,
+                                         allocator="paper")
+        assert rows == _scaling_oracle("sql", budgets, w, P, ReadoutModel(seed=2), 4,
+                                       allocator="paper")
+
+    @pytest.mark.parametrize("scheme, p, budgets", [
+        # ramsey envelope exp(-(t_s/T2*)^2) = e^-25 at the first budget
+        ("sql", SensorParams(T2_star=30e-9), [4, 32, 60]),
+        # pdd envelope e^-3.8 at N = 12 (k = 2), e^-46 at N = 140 (k = 7)
+        ("hql", SensorParams(T2=20e-6), [12, 140, 560]),
+    ])
+    def test_decohered_budget_raises_as_per_seed_loop(self, scheme, p, budgets):
+        w, m = calibrated_tone(p, 150e-9, 9.6e-6), ReadoutModel(seed=1)
+        got = _raised(run_scaling_experiment, scheme, budgets, w, p, m, seeds=3)
+        assert got[0] is DecoheredSignalError
+        assert got == _raised(_scaling_oracle, scheme, budgets, w, p, m, 3)
+
+    def test_wrapping_budget_raises_as_per_seed_loop(self):
+        # five times the calibrated tone: 2k phi0 = 2.18 rad at N = 140 (k = 7),
+        # 4.37 rad at N = 560 (k = 14)
+        w, m = calibrated_tone(P, 150e-9, 9.6e-6, c_det=0.2), ReadoutModel(seed=1)
+        got = _raised(run_scaling_experiment, "hql", [140, 560, 2240], w, P, m, seeds=3)
+        assert got[0] is WfsimError and "atan2 branch" in got[1]
+        assert got == _raised(_scaling_oracle, "hql", [140, 560, 2240], w, P, m, 3)

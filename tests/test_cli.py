@@ -1,11 +1,16 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wfsim
 from wfsim import (
     ConfigError,
     Protocol,
@@ -470,6 +475,30 @@ class TestScaling:
                      "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_info_log_leaves_stdout_and_files_unchanged(self, tmp_path):
+        # WFSIM_LOG=INFO adds one stderr line per budget and nothing else
+        path = tmp_path / "exp.yaml"
+        path.write_text("experiment:\n  budgets: [140, 560, 2240]\n  seeds: 4\n")
+        src = str(Path(wfsim.__file__).parents[1])
+        runs = {}
+        for level in ("WARNING", "INFO"):
+            out = tmp_path / level
+            env = {**os.environ, "WFSIM_LOG": level,
+                   "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            proc = subprocess.run([sys.executable, "-m", "wfsim.cli", "scaling", "--scheme",
+                                   "hql", "--config", str(path), "--no-decoherence",
+                                   "--deterministic", "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            runs[level] = (proc.stdout, files, proc.stderr.splitlines())
+        assert runs["INFO"][:2] == runs["WARNING"][:2]
+        assert runs["WARNING"][2] == []
+        log = runs["INFO"][2]
+        assert [re.sub(r" [\d.]+s$", "", ln) for ln in log] == [
+            f"INFO wfsim.allocation: scaling hql N={N} n1={n1} n2={n2} seeds=4"
+            for N, n1, n2 in ((140, 10, 14), (560, 20, 28), (2240, 40, 56))]
 
     def test_protocol_t_s_sets_the_window(self, tmp_path):
         path = tmp_path / "exp.yaml"

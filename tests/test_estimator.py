@@ -157,6 +157,43 @@ class TestReconError:
         assert recon_error_sq(reconstruct(ens), truth, P, T_S) == pytest.approx(
             rep.delta_det_sq, rel=1e-12)
 
+    @pytest.mark.parametrize("truth", [
+        tone(0.2e-6),
+        WaveformSpec.from_table(T_FIG4, [0.0, 3e-6, T_FIG4], [0.0, 1e-6, -2e-7]),
+    ])
+    @pytest.mark.parametrize("rows, n1", [(1, 1), (1, 7), (9, 7), (30, 43)])
+    def test_stacked_rows_equal_per_row_calls(self, truth, rows, n1):
+        phi_bars = np.random.default_rng(n1).normal(0.0, 0.05, (rows, n1))
+        stacked = recon_error_sq(phi_bars, truth, P, T_S)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (rows,)
+        per_row = [recon_error_sq(row, truth, P, T_S) for row in phi_bars]
+        assert all(type(e) is float for e in per_row)
+        assert stacked.tolist() == per_row
+
+    def test_stack_evaluates_the_truth_once(self, monkeypatch):
+        import wfsim.estimator as estimator
+
+        calls = []
+        evaluate = estimator.evaluate
+        monkeypatch.setattr(estimator, "evaluate",
+                            lambda w, t: calls.append(np.shape(t)) or evaluate(w, t))
+        recon_error_sq(np.zeros((50, 6)), tone(), P, T_S)
+        assert calls == [(6, 64)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_row_rejected(self, bad):
+        phi_bars = np.zeros((4, 5))
+        phi_bars[2, 3] = bad
+        with pytest.raises(ValueError, match=rf"not finite in row 2, bin 3: {bad!r}"):
+            recon_error_sq(phi_bars, tone(), P, T_S)
+        with pytest.raises(ValueError, match=r"not finite in row 0, bin 3"):
+            recon_error_sq(phi_bars[2], tone(), P, T_S)
+
+    @pytest.mark.parametrize("shape", [(), (2, 3, 4)])
+    def test_rejects_other_shapes(self, shape):
+        with pytest.raises(ValueError, match="phi_bar must be"):
+            recon_error_sq(np.zeros(shape), tone(), P, T_S)
+
 
 class TestDeterministicCurve:
     def test_constant_truth_gives_zero(self):

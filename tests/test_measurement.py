@@ -19,9 +19,11 @@ from wfsim import (
     WaveformSpec,
     WfsimError,
     acquire,
+    acquire_planned,
     make_grid,
     phase_exact,
     photon_shot_noise,
+    plan_acquisition,
     read_ensemble_csv,
     with_seed,
     write_ensemble_csv,
@@ -342,6 +344,60 @@ class TestEnsembles:
         ens = PhaseEnsemble(n1=2, n2=2, estimates=np.zeros((2, 2)),
                             grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol=protocol)
         assert ens.collapsed is collapsed
+
+
+def _same_ensemble(a, b):
+    assert np.array_equal(a.estimates, b.estimates)
+    assert (a.n1, a.n2, a.grid, a.t_s, a.protocol) == (b.n1, b.n2, b.grid, b.t_s, b.protocol)
+    assert json.dumps(a.meta) == json.dumps(b.meta)
+
+
+class TestPlannedAcquisition:
+    CASES = [
+        (Protocol.RAMSEY_SQL, 8, 12, {}),
+        (Protocol.TDQD, 5, 8, {"n_batches": 3}),
+        (Protocol.PDD_TDQD, 6, 14, {}),
+        (Protocol.PDD_TDQD, 4, 4, {"n_batches": 50}),
+        (Protocol.PDD_TDQD, 1, 6, {"n_batches": 7, "t_i": 2.1e-6}),
+        (Protocol.RAMSEY_SQL, 1, 9, {"t_i": 75e-9}),
+    ]
+
+    @pytest.mark.parametrize("noise_mode", ["gaussian", "poisson", "none"])
+    @pytest.mark.parametrize("kind, n1, n2, kw", CASES)
+    def test_equals_acquire_bitwise(self, kind, n1, n2, kw, noise_mode):
+        # one plan serves several seeds, each equal to a fresh acquire
+        w = tone(0.2e-6)
+        plan = plan_acquisition(kind, w, P, n1, n2, 150e-9, **kw)
+        for seed in (0, 5, 2**63 + 1):
+            m = ReadoutModel(seed=seed, noise_mode=noise_mode)
+            _same_ensemble(acquire_planned(plan, m),
+                           acquire(kind, w, P, m, n1, n2, 150e-9, **kw))
+
+    def test_signal_is_read_only(self):
+        plan = plan_acquisition(Protocol.PDD_TDQD, tone(), P, 4, 6, 150e-9)
+        assert plan.signal.shape == (4, 2)
+        with pytest.raises(ValueError):
+            plan.signal[0, 0] = 0.0
+
+    @pytest.mark.parametrize("args, kw, error", [
+        ((Protocol.PDD_TDQD, 4, 3, 150e-9), {}, ValueError),
+        ((Protocol.RAMSEY_SQL, 4, 3, 150e-9), {"n_batches": 2}, ValueError),
+        ((Protocol.PDD_TDQD, 2, 2, 150e-9), {"t_i": 4.8e-6}, ValueError),
+        ((Protocol.PDD_TDQD, 1, 2, 0.0), {}, ValueError),
+        ((Protocol.PDD_TDQD, 4, 2000, 150e-9), {}, DecoheredSignalError),
+    ])
+    def test_plan_makes_acquire_checks(self, args, kw, error):
+        kind, n1, n2, t_s = args
+        with pytest.raises(error) as want:
+            acquire(kind, tone(), P, ReadoutModel(), n1, n2, t_s, **kw)
+        with pytest.raises(error) as got:
+            plan_acquisition(kind, tone(), P, n1, n2, t_s, **kw)
+        assert str(got.value) == str(want.value)
+
+    def test_plan_checks_the_phase_wrap(self):
+        # a 5 uT tone at k = 20 accumulates 9.76 rad
+        with pytest.raises(WfsimError, match="atan2 branch"):
+            plan_acquisition(Protocol.PDD_TDQD, tone(5e-6), P_INF, 8, 40, 150e-9)
 
 
 class TestCsvRoundTrip:
