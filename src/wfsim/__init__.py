@@ -61,8 +61,8 @@ from .waveform import (
     WaveformSpec,
     estimate_holder,
     evaluate,
+    hold_error,
     integrate,
-    make_grid,
 )
 
 __version__ = "0.1.0"

@@ -31,7 +31,7 @@ from .allocation import (
     validate_paper_tables,
 )
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, WfsimError
+from .errors import ConfigError, DecoheredSignalError, WfsimError
 from .estimator import decompose_error, phase_truth, reconstruct
 from .measurement import acquire, photon_shot_noise, read_ensemble_csv, write_ensemble_csv
 from .sensor import Protocol, sensitivity_curve
@@ -208,6 +208,9 @@ def cmd_sensitivity(args) -> int:
     t_s = cfg.protocol.get("t_s", 300e-9)
     ks, etas = sensitivity_curve(cfg.sensor, kind, range(1, args.k_max + 1), t_s, T,
                                  sigma_read=photon_shot_noise(cfg.readout, cfg.sensor))
+    if not np.isfinite(etas).any():
+        raise DecoheredSignalError(f"the {kind.value} envelope has decayed to 0 at every "
+                                   f"k in 1..{args.k_max}: no finite sensitivity")
     out = _outdir(args, cfg)
     _write_csv(out / f"sensitivity_{kind.value}.csv",
                ["k", "eta_tesla_per_sqrthz"],

@@ -9,6 +9,7 @@ rejected, and a value of the wrong type raises ``ConfigError`` naming
 from __future__ import annotations
 
 import csv
+import os
 from dataclasses import dataclass, field, fields
 
 import yaml
@@ -71,6 +72,8 @@ def _component(amplitude, harmonic=1, phase=0.0):
 
 
 def _table(path) -> tuple:
+    if not isinstance(path, str):
+        raise ValueError(f"expected a file path, got {path!r}")
     try:
         with open(path, newline="") as fh:
             return tuple((float(r[0]), float(r[1])) for r in csv.reader(fh)
@@ -128,7 +131,8 @@ def _section(name: str, data):
 
 
 def load_config(path) -> ExperimentConfig:
-    """Load and validate a YAML experiment configuration file."""
+    """Load and validate a YAML experiment configuration file.  A relative
+    ``waveform.csv`` path names a file in the config file's directory."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -138,6 +142,9 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config parse error in {path!r}: {exc}") from exc
     raw = {} if raw is None else raw
     _check_keys("config", raw, [f.name for f in fields(ExperimentConfig)])
+    wave = raw.get("waveform")
+    if isinstance(wave, dict) and isinstance(wave.get("csv"), str):
+        wave["csv"] = os.path.join(os.path.dirname(path), wave["csv"])
     cfg = ExperimentConfig()
     for name, value in raw.items():
         setattr(cfg, name, str(value) if name == "output" else _section(name, value))

@@ -2,22 +2,23 @@
 
 All errors are in phase units (rad), with the truth phase
 phi(t) = -2 gamma_e b(t) t_s, the same convention the ensembles use.
-Window integrals use a fixed 64-point Gauss-Legendre rule per hold
-window; the decomposition identity then holds to machine precision
-because both routes share the same quadrature nodes.
+Every score is ``waveform.hold_error``, the exact integral of the squared
+hold error over each window, scaled by (2 gamma_e t_s)^2 / T.  The direct
+total of ``decompose_error`` expands the square per bin instead and takes
+the window integrals of phi from ``waveform.integrate``, so the identity
+delta^2 = delta_stat^2 + delta_det^2 compares two independent routes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .measurement import PhaseEnsemble
 from .sensor import SensorParams
-from .waveform import SampleGrid, WaveformSpec, evaluate, make_grid
+from .waveform import SampleGrid, WaveformSpec, evaluate, hold_error, integrate
 
 __all__ = [
     "ErrorReport",
@@ -29,14 +30,6 @@ __all__ = [
     "phase_to_tesla",
 ]
 
-_GL_POINTS = 64
-
-
-@lru_cache(maxsize=1)
-def _gl_nodes():
-    return np.polynomial.legendre.leggauss(_GL_POINTS)
-
-
 @dataclass(frozen=True)
 class ErrorReport:
     """Total, statistical, and deterministic reconstruction error (rad^2)."""
@@ -46,7 +39,7 @@ class ErrorReport:
     delta_det_sq: float
     per_bin_stat: tuple[float, ...]
     per_bin_det: tuple[float, ...]
-    delta_sq_direct: float  # brute-force double-sum cross-check
+    delta_sq_direct: float  # per-bin expanded double sum, the cross-check
 
     def __post_init__(self):
         if self.delta_stat_sq < 0 or self.delta_det_sq < 0:
@@ -86,13 +79,10 @@ def phase_to_tesla(phi, p: SensorParams, t_s: float):
     return np.asarray(phi) / (-2.0 * p.gamma_e * t_s)
 
 
-def _truth_on_windows(w: WaveformSpec, p: SensorParams, t_s: float, grid: SampleGrid):
-    """Truth phase at the quadrature nodes of every hold window, shape (n1, 64),
-    and the node weights, which include dt/T."""
-    xs, ws = _gl_nodes()
-    half = grid.window_width / 2.0
-    nodes = np.asarray(grid.instants)[:, None] + half * xs[None, :]
-    return phase_truth(w, p, t_s, nodes), np.broadcast_to(half * ws / grid.period_T, nodes.shape)
+def _hold_error_sq(truth: WaveformSpec, p: SensorParams, t_s: float, phi_held):
+    """(1/T) int (phi_held_i - phi(t))^2 dt over each hold window, in rad^2."""
+    scale = (2.0 * p.gamma_e * t_s) ** 2 / truth.period_T
+    return scale * hold_error(truth, phase_to_tesla(phi_held, p, t_s))
 
 
 def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> ErrorReport:
@@ -109,14 +99,16 @@ def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> E
     per_bin_stat = ((est - phi_bar[:, None]) ** 2).mean(axis=1)
     delta_stat_sq = float(per_bin_stat.mean())
 
-    phi_true, weights = _truth_on_windows(truth, p, e.t_s, e.grid)
-    per_bin_det = np.sum(weights * (phi_bar[:, None] - phi_true) ** 2, axis=1)
+    per_bin_det = _hold_error_sq(truth, p, e.t_s, phi_bar)
     delta_det_sq = float(per_bin_det.sum())
 
-    # Eq-level cross-check: (1/n_cols) sum_j sum_i int (phi_ij - phi)^2 dt/T
-    mean_sq = (est**2).mean(axis=1)
-    integrand = mean_sq[:, None] - 2.0 * phi_bar[:, None] * phi_true + phi_true**2
-    delta_sq_direct = float(np.sum(weights * integrand))
+    # Eq-level cross-check: (1/n_cols) sum_j sum_i int (phi_ij - phi)^2 dt/T,
+    # expanded per bin as W mean_j phi_ij^2 - 2 phi_bar_i int phi + int phi^2
+    edges = SampleGrid(truth.period_T, e.n1).edges
+    int_phi = -2.0 * p.gamma_e * e.t_s * np.array(
+        [integrate(truth, t0, t1) for t0, t1 in zip(edges[:-1], edges[1:])])
+    cross = (np.diff(edges) * (est**2).mean(axis=1) - 2.0 * phi_bar * int_phi) / truth.period_T
+    delta_sq_direct = float(np.sum(cross + _hold_error_sq(truth, p, e.t_s, np.zeros(e.n1))))
 
     return ErrorReport(
         delta_sq=delta_stat_sq + delta_det_sq,
@@ -134,8 +126,8 @@ def recon_error_sq(phi_bar, truth: WaveformSpec, p: SensorParams, t_s: float):
 
     This is the error of the mean-based ZOH estimator, the quantity the
     overall SQL/HQL scaling experiments track.  A (rows, n1) stack of
-    estimates is scored row by row against one truth evaluation and gives
-    an array of one error per row.  Every phi_bar_i must be finite.
+    estimates is scored in one ``hold_error`` call and gives an array of one
+    error per row.  Every phi_bar_i must be finite.
     """
     phi_bar = np.asarray(phi_bar, dtype=float)
     if phi_bar.ndim not in (1, 2):
@@ -145,10 +137,8 @@ def recon_error_sq(phi_bar, truth: WaveformSpec, p: SensorParams, t_s: float):
     if bad.any():
         r, i = np.unravel_index(np.argmax(bad), bad.shape)
         raise ValueError(f"phi_bar is not finite in row {r}, bin {i}: {float(rows[r, i])!r}")
-    grid = make_grid(truth.period_T, phi_bar.shape[-1])
-    phi_true, weights = _truth_on_windows(truth, p, t_s, grid)
-    err = np.array([np.sum(weights * (row[:, None] - phi_true) ** 2) for row in rows])
-    return float(err[0]) if phi_bar.ndim == 1 else err
+    err = _hold_error_sq(truth, p, t_s, phi_bar).sum(axis=-1)
+    return float(err) if phi_bar.ndim == 1 else err
 
 
 def deterministic_error_curve(truth: WaveformSpec, p: SensorParams, n1_list,
@@ -157,7 +147,7 @@ def deterministic_error_curve(truth: WaveformSpec, p: SensorParams, n1_list,
     converged estimates."""
     out = []
     for n1 in n1_list:
-        instants = np.asarray(make_grid(truth.period_T, int(n1)).instants)
-        det_sq = recon_error_sq(phase_truth(truth, p, t_s, instants), truth, p, t_s)
+        instants = np.asarray(SampleGrid(truth.period_T, int(n1)).instants)
+        det_sq = _hold_error_sq(truth, p, t_s, phase_truth(truth, p, t_s, instants)).sum()
         out.append((int(n1), float(np.sqrt(det_sq))))
     return out

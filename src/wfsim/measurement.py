@@ -28,7 +28,7 @@ from .sensor import (
     _quadratures,
     envelope,
 )
-from .waveform import SampleGrid, WaveformSpec, integrate, make_grid
+from .waveform import SampleGrid, WaveformSpec, integrate
 
 __all__ = [
     "ReadoutModel",
@@ -275,7 +275,7 @@ def plan_acquisition(kind: Protocol, w: WaveformSpec, p: SensorParams, n1: int, 
             raise ValueError(f"n_batches must be >= 1, got {n_batches}")
         k, n_cols = n2 // 2, n_batches
         meta.update(k=k, n_batches=n_batches)
-    grid = make_grid(T, n1)
+    grid = SampleGrid(T, n1)
     instants = grid.instants
     if t_i is not None:
         if n1 != 1:
@@ -408,7 +408,7 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
     path = str(path)
     meta = _read_sidecar(path + ".meta.json")
     n1, n_cols = meta["n1"], meta["n_cols"]
-    grid = make_grid(meta["period_T"], n1)
+    grid = SampleGrid(meta["period_T"], n1)
     instants = np.array(grid.instants)
     # n1 * n_cols in-range rows that repeat no cell fill every cell
     estimates = np.empty((n1, n_cols))

@@ -114,6 +114,15 @@ def phase_approx(w: WaveformSpec, p: SensorParams, t_i: float, t_s: float) -> fl
     return -2.0 * p.gamma_e * evaluate(w, t_i) * t_s
 
 
+def _decay(ratio: float) -> float:
+    """exp(-ratio^2), which is 0.0 once ratio^2 overflows.  ratio ** 2 rather
+    than ratio * ratio: the two differ in the last bit for some ratios."""
+    try:
+        return math.exp(-(ratio ** 2))
+    except OverflowError:
+        return 0.0
+
+
 def envelope_tdqd(p: SensorParams, k: int, t_s: float, T: float) -> float:
     """Decay envelope of the plain differential protocol.
 
@@ -121,7 +130,7 @@ def envelope_tdqd(p: SensorParams, k: int, t_s: float, T: float) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return math.exp(-((2 * k * t_s / p.T2_star) ** 2)) * math.exp(-((2 * k * T / p.T2) ** 2))
+    return _decay(2 * k * t_s / p.T2_star) * _decay(2 * k * T / p.T2)
 
 
 def envelope_pdd(p: SensorParams, k: int, t_s: float, T: float) -> float:
@@ -131,12 +140,12 @@ def envelope_pdd(p: SensorParams, k: int, t_s: float, T: float) -> float:
     """
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return math.exp(-((2 * k * (T + t_s) / p.T2) ** 2))
+    return _decay(2 * k * (T + t_s) / p.T2)
 
 
 def envelope_ramsey(p: SensorParams, t_s: float) -> float:
     """Free-induction envelope of one short Ramsey window: exp[-(t_s/T2*)^2]."""
-    return math.exp(-((t_s / p.T2_star) ** 2))
+    return _decay(t_s / p.T2_star)
 
 
 def envelope(kind: Protocol, p: SensorParams, k: int, t_s: float, T: float) -> float:

@@ -1,4 +1,5 @@
-"""Waveforms b(t) over one period: evaluation, integration, smoothness, sampling grids.
+"""Waveforms b(t) over one period: evaluation, integration, hold errors,
+smoothness, sampling grids.
 
 A waveform is either a sum of harmonic sine components or a table of
 (t, b) samples interpolated linearly.  All quantities are SI (seconds,
@@ -20,8 +21,8 @@ __all__ = [
     "SampleGrid",
     "evaluate",
     "integrate",
+    "hold_error",
     "estimate_holder",
-    "make_grid",
 ]
 
 
@@ -93,7 +94,8 @@ class SmoothnessEstimate:
 class SampleGrid:
     """n1 bins of period T with bin-center instants t_i = (i - 1/2) * T / n1.
 
-    The hold windows [t_i - T/(2 n1), t_i + T/(2 n1)] tile [0, T] exactly.
+    The hold windows [t_i - T/(2 n1), t_i + T/(2 n1)] tile [0, T] exactly;
+    ``edges`` gives their n1 + 1 ends.
     """
 
     period_T: float
@@ -112,6 +114,11 @@ class SampleGrid:
     @property
     def window_width(self) -> float:
         return self.period_T / self.n1
+
+    @property
+    def edges(self) -> np.ndarray:
+        """Window ends i*T/n1, i = 0..n1, from exactly 0 to exactly T."""
+        return self.period_T * (np.arange(self.n1 + 1) / self.n1)
 
 
 def _eval_parametric(w: WaveformSpec, t):
@@ -180,9 +187,54 @@ def integrate(w: WaveformSpec, t0: float, t1: float) -> float:
     return float(0.5 * np.sum(np.diff(x) * (y[:-1] + y[1:])))
 
 
-def make_grid(T: float, n1: int) -> SampleGrid:
-    """Bin-center grid whose hold windows tile [0, T]."""
-    return SampleGrid(period_T=T, n1=n1)
+def _one_minus_sinc(x):
+    """1 - sin(x)/x for x >= 0, without the cancellation near 0: its Taylor
+    series below x = 1, the closed form from there on."""
+    x = np.asarray(x, dtype=float)
+    s = np.minimum(x, 1.0)
+    series = sum((-1) ** (k + 1) * s ** (2 * k) / math.factorial(2 * k + 1) for k in range(1, 10))
+    return np.where(x < 1.0, series, 1.0 - np.sin(x) / np.maximum(x, 1.0))
+
+
+def hold_error(w: WaveformSpec, held) -> np.ndarray:
+    """Integral of (held_i - b(t))^2 dt over each hold window, in tesla^2 * s.
+
+    held is a (..., n1) stack of values in tesla, held_i on the i-th of the n1
+    windows [i T/n1, (i+1) T/n1] that tile [0, T]; the result has its shape.
+    Both forms are exact up to rounding and centre the error before squaring.
+    A table is linear between the knots and the window edges, so it is summed
+    piece by piece.  A harmonic component m is expanded about each window's
+    midpoint mu as P_m cos(w_m s) + Q_m sin(w_m s), s = t - mu, and the
+    integrals of the products of (cos(w_m s) - 1) and sin(w_m s) over the
+    window are closed forms in 1 - sinc.
+    """
+    held = np.asarray(held, dtype=float)
+    if held.ndim == 0:
+        raise ValueError("held must have a last axis of n1 window values")
+    n1 = held.shape[-1]
+    edges = SampleGrid(w.period_T, n1).edges
+    if w.components is None:
+        ts, _ = _knots(w)
+        x = np.union1d(edges, ts)
+        y = _eval_tabulated(w, x)
+        starts = np.searchsorted(x, edges)
+        c = np.repeat(held, np.diff(starts), axis=-1)
+        u0, u1 = y[:-1] - c, y[1:] - c
+        pieces = np.diff(x) / 3.0 * (u0 * u0 + u0 * u1 + u1 * u1)
+        return np.add.reduceat(pieces, starts[:-1], axis=-1)
+    amp, index, phase = (np.array(col) for col in zip(*w.components))
+    half = 0.5 * w.period_T / n1
+    # 1 - sinc(w h) of each component, and of the sums and differences of pairs
+    x = np.pi * index / n1
+    g, g_sum, g_diff = (_one_minus_sinc(v) for v in (x, x[:, None] + x, abs(x[:, None] - x)))
+    even = half * (2.0 * g[:, None] + 2.0 * g - g_sum - g_diff)
+    odd = half * (g_sum - g_diff)
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    arg = (2.0 * np.pi * index / w.period_T)[:, None] * mid + phase[:, None]
+    P, Q = amp[:, None] * np.sin(arg), amp[:, None] * np.cos(arg)
+    d = P.sum(axis=0) - held  # b(mu) - held
+    return (2.0 * half * d * d - 4.0 * half * d * (g @ P)
+            + np.sum(P * (even @ P), axis=0) + np.sum(Q * (odd @ Q), axis=0))
 
 
 def _increment_integral(w: WaveformSpec, eps: float, n_grid: int) -> float:
@@ -209,9 +261,15 @@ def estimate_holder(w: WaveformSpec, n_grid: int = 4096) -> SmoothnessEstimate:
     q_grid = np.arange(1, 21) * 0.05  # 0.05 .. 1.00
     # H(q, eps) = H(0, eps) / eps^(2q): one increment integral per eps
     h0 = np.array([_increment_integral(w, e, n_grid) for e in eps_desc])
-    H = h0 / eps_desc ** (2.0 * q_grid[:, None])
+    # eps^(2q) underflows to 0 on a short enough period; M is checked below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        H = h0 / eps_desc ** (2.0 * q_grid[:, None])
     bounded = np.all(H[:, 1:] <= 2.0 * H[:, :-1] + 1e-300, axis=1)
     # largest bounded exponent, else the roughest admitted one
     i = np.flatnonzero(bounded)[-1] if bounded.any() else 0
     q = float(q_grid[i])
-    return SmoothnessEstimate(q=q, M=w.period_T**q * math.sqrt(H[i].max()))
+    M = w.period_T**q * math.sqrt(H[i].max())
+    if not math.isfinite(M):
+        raise ValueError(f"Hoelder constant M is not finite ({M}) at q = {q:g} for "
+                         f"period {w.period_T:g}")
+    return SmoothnessEstimate(q=q, M=M)

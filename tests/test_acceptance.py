@@ -18,6 +18,7 @@ from wfsim import (
     Protocol,
     ProtocolConfig,
     ReadoutModel,
+    SampleGrid,
     SensorParams,
     WaveformSpec,
     calibrated_tone,
@@ -27,7 +28,6 @@ from wfsim import (
     envelope_pdd,
     envelope_tdqd,
     fit_loglog,
-    make_grid,
     optimize_exact,
     paper_rule_sql,
     phase_approx,
@@ -66,7 +66,7 @@ def test_criterion_1_decomposition_identity(report):
         n2 = int(rng.integers(2, 33))
         truth = WaveformSpec.harmonic(T_SCALE, float(rng.uniform(0.01e-6, 2e-6)),
                                       harmonic=int(rng.integers(1, 4)))
-        grid = make_grid(T_SCALE, n1)
+        grid = SampleGrid(T_SCALE, n1)
         phi = phase_truth(truth, P, T_S, np.asarray(grid.instants))
         noise = float(rng.uniform(1e-4, 0.3))
         est = phi[:, None] + noise * rng.standard_normal((n1, n2))

@@ -101,6 +101,23 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.waveform.tabulated is not None
 
+    def test_waveform_csv_relative_to_the_config(self, tmp_path, monkeypatch, capsys):
+        # a relative csv path names a file next to the config, whatever the cwd
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        (sub / "t.csv").write_text("0.0,0.0\n4.8e-6,1e-6\n9.6e-6,0.0\n")
+        (sub / "tab.yaml").write_text("waveform:\n  period: 9.6e-6\n  csv: t.csv\n")
+        monkeypatch.chdir(tmp_path)
+        assert load_config("sub/tab.yaml").waveform.tabulated[1] == (4.8e-6, 1e-6)
+        assert main(["holder", "--config", "sub/tab.yaml"]) == 0
+        assert capsys.readouterr().out.startswith("q=1")
+
+    def test_waveform_csv_path_must_be_a_string(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("waveform:\n  period: 9.6e-6\n  csv: 0\n")
+        with pytest.raises(ConfigError, match="waveform.csv"):
+            load_config(path)
+
     def test_invariants_revalidated(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("sensor:\n  t2: -1.0\n")
@@ -186,6 +203,21 @@ class TestExitCodes:
         assert main([command, "--config", "exp.yaml", "--out", "run"]) == 2
         assert "config error: waveform" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sensitivity"])
+    @pytest.mark.parametrize("config", [
+        WAVEFORM + "sensor:\n  t2: 1e-300\n",
+        WAVEFORM.replace("9.6e-6", "1e300"),
+    ], ids=["t2-1e-300", "period-1e300"])
+    def test_fully_decayed_envelope_exits_1(self, tmp_path, capsys, command, config):
+        # the envelope's square used to overflow into an OverflowError traceback;
+        # an envelope that has decayed to 0 fails before any output is written
+        path = tmp_path / "exp.yaml"
+        path.write_text(config)
+        out = tmp_path / "run"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert "envelope" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_seed_flag_exits_2(self, cfg_path, tmp_path, capsys):
         assert main(["simulate", "--config", str(cfg_path), "--seed", "-1",
@@ -571,3 +603,12 @@ class TestHolder:
         assert main(["holder", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert out.startswith("q=1")
+
+    def test_period_without_a_finite_constant_exits_1(self, tmp_path, capsys):
+        # at T = 1e-300, eps^(2q) underflows and M came out inf after a RuntimeWarning
+        path = tmp_path / "exp.yaml"
+        path.write_text(WAVEFORM.replace("9.6e-6", "1e-300"))
+        assert main(["holder", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err

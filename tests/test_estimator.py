@@ -1,5 +1,7 @@
+import bisect
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,13 +12,15 @@ from scipy.integrate import quad
 from wfsim import (
     Protocol,
     ReadoutModel,
+    SampleGrid,
     SensorParams,
     WaveformSpec,
     acquire,
     decompose_error,
     deterministic_error_curve,
+    evaluate,
     fit_loglog,
-    make_grid,
+    hold_error,
     phase_truth,
     phase_to_tesla,
     recon_error_sq,
@@ -36,7 +40,7 @@ def tone(amplitude=1e-6):
 
 def synthetic_ensemble(truth, n1, n2, seed, noise=0.05):
     """Ensemble with explicit Gaussian scatter around the truth phase."""
-    grid = make_grid(truth.period_T, n1)
+    grid = SampleGrid(truth.period_T, n1)
     rng = np.random.default_rng(seed)
     phi = phase_truth(truth, P, T_S, np.asarray(grid.instants))
     est = phi[:, None] + noise * rng.standard_normal((n1, n2))
@@ -46,7 +50,7 @@ def synthetic_ensemble(truth, n1, n2, seed, noise=0.05):
 
 class TestReconstruction:
     def test_mean_over_columns(self):
-        grid = make_grid(T_FIG4, 2)
+        grid = SampleGrid(T_FIG4, 2)
         est = np.array([[1.0, 3.0], [0.0, -2.0]])
         ens = PhaseEnsemble(n1=2, n2=2, estimates=est, grid=grid, t_s=T_S,
                             protocol="ramsey-sql")
@@ -64,7 +68,7 @@ class TestDecomposition:
         # truth phi = 0 everywhere, estimates {0.1, 0.3} in a single bin:
         # phi_bar = 0.2, stat = var = 0.01, det = 0.04, total by hand 0.05
         truth = WaveformSpec.from_table(T_FIG4, [0.0, T_FIG4], [0.0, 0.0])
-        grid = make_grid(T_FIG4, 1)
+        grid = SampleGrid(T_FIG4, 1)
         ens = PhaseEnsemble(n1=1, n2=2, estimates=np.array([[0.1, 0.3]]),
                             grid=grid, t_s=T_S, protocol="ramsey-sql")
         rep = decompose_error(ens, truth, P)
@@ -76,7 +80,7 @@ class TestDecomposition:
     def test_sinusoid_single_bin_oracle(self):
         # zero estimates, one bin: delta_det^2 = (1/T) int phi(t)^2 dt
         w = tone(1e-6)
-        grid = make_grid(T_FIG4, 1)
+        grid = SampleGrid(T_FIG4, 1)
         ens = PhaseEnsemble(n1=1, n2=3, estimates=np.zeros((1, 3)), grid=grid,
                             t_s=T_S, protocol="ramsey-sql")
         rep = decompose_error(ens, w, P)
@@ -146,7 +150,7 @@ class TestDecomposition:
 class TestReconError:
     def test_perfect_zoh_of_constant_truth_is_zero(self):
         truth = WaveformSpec.from_table(T_FIG4, [0.0, T_FIG4], [1e-6, 1e-6])
-        grid = make_grid(T_FIG4, 4)
+        grid = SampleGrid(T_FIG4, 4)
         phi = phase_truth(truth, P, T_S, np.asarray(grid.instants))
         assert recon_error_sq(phi, truth, P, T_S) == pytest.approx(0.0, abs=1e-28)
 
@@ -170,15 +174,18 @@ class TestReconError:
         assert all(type(e) is float for e in per_row)
         assert stacked.tolist() == per_row
 
-    def test_stack_evaluates_the_truth_once(self, monkeypatch):
+    def test_stack_is_scored_in_one_hold_error_call(self, monkeypatch):
         import wfsim.estimator as estimator
+        import wfsim.waveform as waveform
 
         calls = []
-        evaluate = estimator.evaluate
-        monkeypatch.setattr(estimator, "evaluate",
-                            lambda w, t: calls.append(np.shape(t)) or evaluate(w, t))
+        hold_error = estimator.hold_error
+        monkeypatch.setattr(estimator, "hold_error",
+                            lambda w, held: calls.append(np.shape(held)) or hold_error(w, held))
+        monkeypatch.setattr(waveform, "evaluate", None)
+        monkeypatch.setattr(estimator, "evaluate", None)
         recon_error_sq(np.zeros((50, 6)), tone(), P, T_S)
-        assert calls == [(6, 64)]
+        assert calls == [(50, 6)]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_row_rejected(self, bad):
@@ -193,6 +200,84 @@ class TestReconError:
     def test_rejects_other_shapes(self, shape):
         with pytest.raises(ValueError, match="phi_bar must be"):
             recon_error_sq(np.zeros(shape), tone(), P, T_S)
+
+
+def random_walk_table():
+    # 257 uniform knots carrying a Gaussian random walk: a kink at every knot
+    rng = np.random.default_rng(5)
+    return WaveformSpec.from_table(T_FIG4, np.linspace(0.0, T_FIG4, 257),
+                                   1e-7 * np.cumsum(rng.standard_normal(257)))
+
+
+def fraction_hold_error(w, held):
+    """Exact rational integral of (held_i - b(t))^2 dt over each window between
+    the float edges i*T/n1, segment by segment of the piecewise-linear table."""
+    knots = [(Fraction(t), Fraction(b)) for t, b in w.tabulated]
+    times = [t for t, _ in knots]
+    edges = [Fraction(e) for e in SampleGrid(w.period_T, len(held)).edges]
+    out = []
+    for a, z, c in zip(edges, edges[1:], map(Fraction, held)):
+        total = Fraction(0)
+        for j in range(max(bisect.bisect_right(times, a) - 1, 0), len(knots) - 1):
+            (ta, ba), (tb, bb) = knots[j], knots[j + 1]
+            if ta >= z:
+                break
+            lo, hi = max(ta, a), min(tb, z)
+            slope = (bb - ba) / (tb - ta)
+            u0, u1 = ba + slope * (lo - ta) - c, ba + slope * (hi - ta) - c
+            total += (hi - lo) * (u0 * u0 + u0 * u1 + u1 * u1) / 3
+        out.append(total)
+    return out
+
+
+def gauss_legendre_hold_error(w, held):
+    """(held_i - b(t))^2 integrated by a 64-point Gauss-Legendre rule per window,
+    exact up to rounding for a tone of a few harmonics."""
+    xs, ws = np.polynomial.legendre.leggauss(64)
+    edges = SampleGrid(w.period_T, held.shape[-1]).edges
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = edges[:-1, None] + half * (1.0 + xs)
+    return np.sum(half * ws * (held[..., None] - evaluate(w, nodes)) ** 2, axis=-1)
+
+
+def held_near_truth(w, n1, spread):
+    """Bin-centre truth values in tesla, plus Gaussian scatter of the given size."""
+    instants = np.asarray(SampleGrid(w.period_T, n1).instants)
+    return evaluate(w, instants) + spread * np.random.default_rng(n1).standard_normal(n1)
+
+
+class TestExactScoring:
+    SCALE = (2.0 * P.gamma_e * T_S) ** 2 / T_FIG4
+
+    @pytest.mark.parametrize("n1", [1, 10, 40, 140, 1000])
+    @pytest.mark.parametrize("spread", [0.0, 1e-9])
+    def test_table_matches_fraction_oracle(self, n1, spread):
+        w = random_walk_table()
+        phi_bar = -2.0 * P.gamma_e * T_S * held_near_truth(w, n1, spread)
+        held = phase_to_tesla(phi_bar, P, T_S)
+        oracle = fraction_hold_error(w, held)
+        # a window whose error is tiny loses digits to the rounding of b at its
+        # edges, so each window may also be off by 1e-13 of the mean window
+        per_window = np.array([float(x) for x in oracle])
+        np.testing.assert_allclose(hold_error(w, held), per_window,
+                                   rtol=1e-12, atol=1e-13 * per_window.mean())
+        total = float(Fraction(self.SCALE) * sum(oracle))
+        assert recon_error_sq(phi_bar, w, P, T_S) == pytest.approx(total, rel=1e-13)
+
+    @pytest.mark.parametrize("n1", [1, 3, 10, 64, 256])
+    @pytest.mark.parametrize("spread", [0.0, 1e-8, 1e-6])
+    def test_tone_matches_gauss_legendre(self, n1, spread):
+        # two components share harmonic index 2, so both same-index product
+        # terms (the pair and each component with itself) take part
+        w = WaveformSpec(period_T=T_FIG4, components=(
+            (1e-6, 1, 0.3), (0.5e-6, 2, 1.1), (0.3e-6, 2, -0.4), (0.25e-6, 4, 2.0)))
+        phi_bar = -2.0 * P.gamma_e * T_S * held_near_truth(w, n1, spread)
+        held = phase_to_tesla(phi_bar, P, T_S)
+        reference = gauss_legendre_hold_error(w, held)
+        total = self.SCALE * reference.sum()
+        assert recon_error_sq(phi_bar, w, P, T_S) == pytest.approx(total, rel=1e-12)
+        np.testing.assert_allclose(hold_error(w, held), reference,
+                                   rtol=1e-12, atol=1e-13 * reference.mean())
 
 
 class TestDeterministicCurve:

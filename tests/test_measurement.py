@@ -15,12 +15,12 @@ from wfsim import (
     PhaseEnsemble,
     Protocol,
     ReadoutModel,
+    SampleGrid,
     SensorParams,
     WaveformSpec,
     WfsimError,
     acquire,
     acquire_planned,
-    make_grid,
     phase_exact,
     photon_shot_noise,
     plan_acquisition,
@@ -317,32 +317,31 @@ class TestEnsembles:
         assert deco.estimates.std() > 1.2 * free.estimates.std()
 
     def test_validation_shape(self):
-        from wfsim import make_grid
         with pytest.raises(ValueError):
             PhaseEnsemble(n1=2, n2=3, estimates=np.zeros((2, 4)),
-                          grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol="ramsey-sql")
+                          grid=SampleGrid(T_FIG4, 2), t_s=150e-9, protocol="ramsey-sql")
 
     def test_empty_ensemble_rejected(self):
         with pytest.raises(ValueError, match="n_cols >= 1"):
             PhaseEnsemble(n1=2, n2=2, estimates=np.zeros((2, 0)),
-                          grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol="pdd-tdqd")
+                          grid=SampleGrid(T_FIG4, 2), t_s=150e-9, protocol="pdd-tdqd")
 
     def test_grid_bins_must_equal_n1(self):
         # else a 4-row ensemble on an 8-bin grid fails only inside decompose_error
         with pytest.raises(ValueError, match="grid has 8 bins"):
             PhaseEnsemble(n1=4, n2=3, estimates=np.zeros((4, 3)),
-                          grid=make_grid(T_FIG4, 8), t_s=150e-9, protocol="ramsey-sql")
+                          grid=SampleGrid(T_FIG4, 8), t_s=150e-9, protocol="ramsey-sql")
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ValueError):
             PhaseEnsemble(n1=2, n2=3, estimates=np.zeros((2, 3)),
-                          grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol="sql")
+                          grid=SampleGrid(T_FIG4, 2), t_s=150e-9, protocol="sql")
 
     @pytest.mark.parametrize("protocol, collapsed", [("ramsey-sql", False), ("tdqd", True),
                                                      ("pdd-tdqd", True)])
     def test_collapsed_follows_protocol(self, protocol, collapsed):
         ens = PhaseEnsemble(n1=2, n2=2, estimates=np.zeros((2, 2)),
-                            grid=make_grid(T_FIG4, 2), t_s=150e-9, protocol=protocol)
+                            grid=SampleGrid(T_FIG4, 2), t_s=150e-9, protocol=protocol)
         assert ens.collapsed is collapsed
 
 
@@ -528,7 +527,7 @@ class TestCsvRoundTrip:
     def test_grid_round_trip_exact(self, tmp_path, T, n1):
         # the read grid must be the writer's bit for bit, including where
         # 2 n1 t_1 misses T (n1 = 75 at 9.6 us, n1 = 5 at 10 us)
-        grid = make_grid(T, n1)
+        grid = SampleGrid(T, n1)
         ens = PhaseEnsemble(n1=n1, n2=2, estimates=np.zeros((n1, 2)), grid=grid,
                             t_s=150e-9, protocol="pdd-tdqd")
         write_ensemble_csv(ens, tmp_path / "ens.csv", deterministic=True)
@@ -588,7 +587,7 @@ class TestCsvRoundTrip:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_bit_exact_for_any_finite_float(self, estimates):
         n1, n_cols = estimates.shape
-        ens = PhaseEnsemble(n1=n1, n2=2, estimates=estimates, grid=make_grid(T_FIG4, n1),
+        ens = PhaseEnsemble(n1=n1, n2=2, estimates=estimates, grid=SampleGrid(T_FIG4, n1),
                             t_s=150e-9, protocol="pdd-tdqd")
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ens.csv"

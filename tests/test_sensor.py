@@ -151,6 +151,23 @@ class TestEnvelopes:
         assert envelope(Protocol.PDD_TDQD, P, 8, 300e-9, T_FIG2) == \
             envelope_pdd(P, 8, 300e-9, T_FIG2)
 
+    def test_formulas_keep_their_bits(self):
+        # the same ratio ** 2 expressions as the docstrings, bit for bit
+        for k in (1, 7, 64, 1000):
+            for t_s, T in ((150e-9, 9.6e-6), (300e-9, T_FIG2), (1.7e-7, 3.3e-5)):
+                assert envelope_tdqd(P, k, t_s, T) == \
+                    math.exp(-((2 * k * t_s / P.T2_star) ** 2)) * math.exp(-((2 * k * T / P.T2) ** 2))
+                assert envelope_pdd(P, k, t_s, T) == math.exp(-((2 * k * (T + t_s) / P.T2) ** 2))
+            assert envelope_ramsey(P, k * 1e-9) == math.exp(-((k * 1e-9 / P.T2_star) ** 2))
+
+    def test_saturate_to_zero_where_the_square_overflows(self):
+        # (2k T / T2)^2 overflows a double here; the envelope has decayed to 0
+        short = SensorParams(T2_star=1e-300, T2=1e-300)
+        assert envelope_tdqd(short, 1, 300e-9, T_FIG2) == 0.0
+        assert envelope_pdd(short, 1, 300e-9, T_FIG2) == 0.0
+        assert envelope_ramsey(short, 300e-9) == 0.0
+        assert envelope_pdd(P, 1, 300e-9, 1e300) == 0.0
+
     def test_pdd_beats_tdqd_for_all_k(self):
         for k in range(1, 129):
             assert envelope_pdd(P, k, 300e-9, T_FIG2) > envelope_tdqd(P, k, 300e-9, T_FIG2)

@@ -14,11 +14,12 @@ from scipy.integrate import quad
 import wfsim
 from wfsim import (
     DomainError,
+    SampleGrid,
     WaveformSpec,
     estimate_holder,
     evaluate,
+    hold_error,
     integrate,
-    make_grid,
 )
 
 T_FIG2 = 2.4e-6
@@ -180,36 +181,76 @@ class TestIntegrate:
 
 class TestMakeGrid:
     def test_single_bin(self):
-        g = make_grid(T_FIG4, 1)
+        g = SampleGrid(T_FIG4, 1)
         assert g.instants == (pytest.approx(4.8e-6),)
 
     def test_64_bins(self):
-        g = make_grid(T_FIG4, 64)
+        g = SampleGrid(T_FIG4, 64)
         assert g.n1 == 64
         assert g.instants[0] == pytest.approx(75e-9)
         assert np.allclose(np.diff(g.instants), 150e-9)
 
     def test_8_bins_small_period(self):
-        g = make_grid(T_FIG2, 8)
+        g = SampleGrid(T_FIG2, 8)
         assert g.instants[0] == pytest.approx(150e-9)
         assert np.allclose(np.diff(g.instants), 300e-9)
 
     def test_rejects_zero_bins(self):
         with pytest.raises(ValueError):
-            make_grid(T_FIG4, 0)
+            SampleGrid(T_FIG4, 0)
 
     @pytest.mark.parametrize("T", [9.6e-6, 1e-5])
     def test_period_kept_exactly(self, T):
         # 2 n1 t_1 misses T by an ulp for e.g. n1 = 75 at 9.6 us and n1 = 5 at
         # 10 us, so the grid must keep T itself
-        assert all(make_grid(T, n1).period_T == T for n1 in range(1, 3000))
+        assert all(SampleGrid(T, n1).period_T == T for n1 in range(1, 3000))
+
+    @pytest.mark.parametrize("T", [9.6e-6, 1e-5])
+    def test_edges_run_from_zero_to_exactly_the_period(self, T):
+        for n1 in range(1, 3000):
+            edges = SampleGrid(T, n1).edges
+            assert len(edges) == n1 + 1 and edges[0] == 0.0 and edges[-1] == T
+            assert np.all(np.diff(edges) > 0)
 
     @pytest.mark.parametrize("n1", [1, 2, 7, 16, 64])
     def test_windows_tile_period(self, n1):
-        g = make_grid(T_FIG4, n1)
+        g = SampleGrid(T_FIG4, n1)
         edges = [t - g.window_width / 2 for t in g.instants] + [T_FIG4]
         assert edges[0] == pytest.approx(0.0, abs=1e-20)
         assert np.allclose(np.diff(edges), T_FIG4 / n1)
+
+
+class TestHoldError:
+    def test_tone_over_one_window_by_hand(self):
+        # int_0^T (c - A sin(2 pi t/T))^2 dt = c^2 T + A^2 T / 2
+        w = WaveformSpec.harmonic(T_FIG4, 2e-6, phase=0.7)
+        assert hold_error(w, [0.0])[0] == pytest.approx(2e-12 * T_FIG4, rel=1e-14)
+        assert hold_error(w, [1e-6])[0] == pytest.approx(3e-12 * T_FIG4, rel=1e-14)
+
+    def test_ramp_by_hand(self):
+        # b = s t held at 0 on [0, T]: s^2 T^3 / 3; held at the midpoint of each
+        # of n1 windows: (s W)^2 W / 12 per window
+        w = WaveformSpec.from_table(T_FIG4, [0.0, T_FIG4], [0.0, 1e-6])
+        assert hold_error(w, [0.0])[0] == pytest.approx(1e-12 * T_FIG4 / 3, rel=1e-15)
+        mids = evaluate(w, np.asarray(SampleGrid(T_FIG4, 8).instants))
+        np.testing.assert_allclose(hold_error(w, mids), 1e-12 * T_FIG4 / 8**3 / 12, rtol=1e-12)
+
+    @pytest.mark.parametrize("w", [fig4_waveform(1e-6), kinked_table()], ids=["tone", "table"])
+    def test_stack_keeps_its_shape_and_rows(self, w):
+        held = np.random.default_rng(0).normal(0.0, 1e-6, (2, 3, 5))
+        out = hold_error(w, held)
+        assert out.shape == (2, 3, 5)
+        for i, j in np.ndindex(2, 3):
+            assert out[i, j].tolist() == hold_error(w, held[i, j]).tolist()
+
+    def test_table_short_of_the_period_raises(self):
+        w = WaveformSpec.from_table(T_FIG4, [0.0, 0.9 * T_FIG4], [0.0, 1e-6])
+        with pytest.raises(DomainError):
+            hold_error(w, np.zeros(4))
+
+    def test_rejects_a_scalar(self):
+        with pytest.raises(ValueError, match="last axis"):
+            hold_error(fig4_waveform(), 0.0)
 
 
 class TestHolder:
