@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimator import recon_error_sq, reconstruct
-from .measurement import ReadoutModel, acquire_planned, plan_acquisition, with_seed
+from .estimator import recon_error_sq
+from .measurement import ReadoutModel, _acquire, _philox, _rekey, _seed_keys, plan_acquisition
 from .sensor import Protocol, SensorParams
 from .waveform import WaveformSpec
 
@@ -229,12 +229,18 @@ def _check_seeds(seeds: int) -> None:
 
 def _monte_carlo(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
                  n1: int, n2: int, t_s: float, key: int, seeds: int) -> np.ndarray:
-    """(seeds, n1) per-bin means, row s reconstructed from the ensemble drawn
-    with the readout model with_seed(m, key, s); one plan serves every seed."""
+    """(seeds, n1) per-bin means, row s those of the ensemble drawn with the
+    readout model with_seed(m, key, s).  One plan serves every seed, every
+    seed's key comes from one vectorised pass, and one Philox is re-keyed
+    for each seed, so each row equals its own fresh acquisition bit for bit."""
     plan = plan_acquisition(kind, w, p, n1, n2, t_s)
+    rng = _philox()
     phi_bars = np.empty((seeds, n1))
-    for s in range(seeds):
-        phi_bars[s] = reconstruct(acquire_planned(plan, with_seed(m, key, s)))
+    for s, k in enumerate(_seed_keys(m.seed, key, np.arange(seeds)).tolist()):
+        phi_bars[s] = _acquire(plan, m, _rekey(rng, k)).mean(axis=1)
+    # a non-finite estimate makes its bin mean non-finite: the ensemble's check
+    if not np.isfinite(phi_bars).all():
+        raise ValueError("all phase estimates must be finite")
     return phi_bars
 
 

@@ -131,10 +131,9 @@ def cmd_reconstruct(args) -> int:
     phi_bar = reconstruct(ens)
     report = decompose_error(ens, cfg.waveform, cfg.sensor)
     out = _outdir(args, cfg)
-    rows = [
-        (repr(t), repr(float(phi)), repr(float(phase_truth(cfg.waveform, cfg.sensor, ens.t_s, t))))
-        for t, phi in zip(ens.grid.instants, phi_bar)
-    ]
+    truth = phase_truth(cfg.waveform, cfg.sensor, ens.t_s, np.array(ens.grid.instants))
+    rows = [(repr(t), repr(phi), repr(phi_t))
+            for t, phi, phi_t in zip(ens.grid.instants, phi_bar.tolist(), truth.tolist())]
     _write_csv(out / "reconstruction.csv",
                ["t_seconds", "phi_tilde_rad", "phi_true_rad"], rows)
     report.to_json(out / "error_report.json")

@@ -185,22 +185,6 @@ def _signal(kind: Protocol, phases, env: float, k: int) -> tuple[np.ndarray, flo
     return env * np.stack([x, y], axis=-1), gain
 
 
-def _acquire(kind: Protocol, signal: np.ndarray, gain: float, n_cols: int, m: ReadoutModel,
-             p: SensorParams, rng: np.random.Generator) -> np.ndarray:
-    """n_cols noisy readouts of each noiseless signal row, inverted by atan2
-    back to the differential convention: a (len(signal), n_cols) matrix."""
-    s_true = np.broadcast_to(signal[:, None, :], (len(signal), n_cols, 2))
-    noisy = _noisy_signal(s_true, m, p, rng, sigma_scale=_noise_scale(kind, m))
-    cos_hat, sin_hat = _quadratures(kind, noisy[..., 0], noisy[..., 1])
-    return np.arctan2(sin_hat, cos_hat) / gain
-
-
-def _ensemble_rng(seed: int) -> np.random.Generator:
-    # counter-based bit generator: the (i, j, quadrature) cells map onto
-    # consecutive counter values, so output is scheduling-independent
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
-
-
 def _centered_window_phases(w: WaveformSpec, p: SensorParams, instants,
                             t_s: float) -> np.ndarray:
     """Exact differential phase with the sampling window centered on each t_i."""
@@ -292,11 +276,41 @@ def plan_acquisition(kind: Protocol, w: WaveformSpec, p: SensorParams, n1: int, 
                            signal=signal, gain=gain, meta=meta)
 
 
+def _acquire(plan: AcquisitionPlan, m: ReadoutModel, rng: np.random.Generator) -> np.ndarray:
+    """The draw kernel: plan.n_cols noisy readouts of each noiseless signal row,
+    with m's noise drawn from rng, inverted by atan2 back to the differential
+    convention: a (n1, n_cols) matrix."""
+    kind, signal = plan.kind, plan.signal
+    s_true = np.broadcast_to(signal[:, None, :], (len(signal), plan.n_cols, 2))
+    noisy = _noisy_signal(s_true, m, plan.p, rng, sigma_scale=_noise_scale(kind, m))
+    cos_hat, sin_hat = _quadratures(kind, noisy[..., 0], noisy[..., 1])
+    return np.arctan2(sin_hat, cos_hat) / plan.gain
+
+
+def _philox() -> np.random.Generator:
+    """A Philox generator to re-key with :func:`_rekey`.  The fixed seed keeps
+    it off os.urandom, which Philox(key=...) reads for a throwaway SeedSequence."""
+    return np.random.Generator(np.random.Philox(0))
+
+
+_ZEROS = (0, 0, 0, 0)
+
+
+def _rekey(rng: np.random.Generator, key: int) -> np.random.Generator:
+    """Reset rng's Philox to the state of a fresh Philox(key=key): counter 0,
+    key [key, 0], empty buffer, no cached uint32.  Its draws then equal the
+    fresh generator's bit for bit; the (i, j, quadrature) cells map onto
+    consecutive counter values, so output is scheduling-independent."""
+    rng.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": _ZEROS, "key": (key, 0)},
+                               "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
 def acquire_planned(plan: AcquisitionPlan, m: ReadoutModel) -> PhaseEnsemble:
     """The ensemble of :func:`acquire` for a plan, drawn with m's noise and seed."""
     meta = {"seed": m.seed, "noise_mode": m.noise_mode, "shots_R": m.shots_R, **plan.meta}
-    estimates = _acquire(plan.kind, plan.signal, plan.gain, plan.n_cols, m, plan.p,
-                         _ensemble_rng(m.seed))
+    estimates = _acquire(plan, m, _rekey(_philox(), m.seed))
     return PhaseEnsemble(n1=plan.grid.n1, n2=plan.n2, estimates=estimates, grid=plan.grid,
                          t_s=plan.t_s, protocol=plan.kind.value, meta=meta)
 
@@ -464,7 +478,78 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
                          t_s=meta["t_s"], protocol=meta["protocol"], meta=meta)
 
 
+# numpy SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = np.uint32(16)
+
+
+def _words(n: int) -> list[np.ndarray]:
+    """A non-negative integer as SeedSequence reads it: little-endian uint32
+    words, one word for 0, each a one-element array."""
+    if n < 0:
+        raise ValueError(f"entropy must be non-negative, got {n}")
+    words = [n & _MASK32]
+    while n := n >> 32:
+        words.append(n & _MASK32)
+    return [np.array([w], dtype=np.uint32) for w in words]
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix, which steps its own hash constant per call."""
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_keys(seed: int, *entropy) -> np.ndarray:
+    """``SeedSequence([seed, *entropy]).generate_state(1, np.uint64)`` for each
+    value s of the last argument, in one vectorised pass: an array of keys.
+
+    The last argument is an integer or an array of integers in [0, 2**32),
+    each one uint32 word.  The mixing is SeedSequence's in uint32 array
+    arithmetic: its hash constants step the same way whatever the data, so
+    every step vectorises over s.  Entropy of more words than the pool (a
+    seed and an N of 2**32 or more) is mixed in after the pool, as there.
+    """
+    *head, last = (seed, *entropy)
+    words = [w for x in head for w in _words(int(x))]
+    if np.ndim(last) == 0:
+        words += _words(int(last))
+    else:
+        last = np.asarray(last)
+        if last.size and not (0 <= last.min() and last.max() <= _MASK32):
+            raise ValueError("the last entropy word must be in [0, 2**32)")
+        words.append(last.astype(np.uint32))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in words[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
+    # generate_state(1, np.uint64): two hashed pool words, low word first
+    out = _hasher(_INIT_B, _MULT_B)
+    lo, hi = (out(word).astype(np.uint64) for word in pool[:2])
+    return lo | (hi << np.uint64(32))
+
+
 def with_seed(m: ReadoutModel, *entropy) -> ReadoutModel:
-    """Derive a child readout model with a deterministic sub-seed."""
-    ss = np.random.SeedSequence([int(m.seed)] + [int(x) for x in entropy])
-    return replace(m, seed=int(ss.generate_state(1, np.uint64)[0]))
+    """Derive a child readout model with the sub-seed
+    ``SeedSequence([m.seed, *entropy]).generate_state(1, np.uint64)[0]``."""
+    return replace(m, seed=int(_seed_keys(m.seed, *entropy)[0]))

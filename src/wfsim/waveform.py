@@ -251,24 +251,24 @@ def estimate_holder(w: WaveformSpec, n_grid: int = 4096) -> SmoothnessEstimate:
     H(q, eps) = (1/T) int |(b(t+eps)-b(t))/eps^q|^2 dt is evaluated at
     eps = T/16 ... T/512 (periodic extension).  The largest q for which H stays
     bounded as eps shrinks (non-increasing within a factor 2 per halving)
-    is returned, with M = T^q * sqrt(max_eps H(q, eps)).  q is capped at
+    is returned, with M = sqrt(max_eps H(q, eps) T^(2q)).  q is capped at
     1: the zero-order hold only exploits first-order smoothness.
     """
     if n_grid < 64:
         raise ValueError(f"n_grid must be >= 64, got {n_grid}")
-    eps_desc = np.array([w.period_T / 2**j for j in range(4, 10)])
-
+    # eps / T = 2^-j exactly, so no power of eps can underflow on a short period
+    ratio = 2.0 ** -np.arange(4, 10)
     q_grid = np.arange(1, 21) * 0.05  # 0.05 .. 1.00
-    # H(q, eps) = H(0, eps) / eps^(2q): one increment integral per eps
-    h0 = np.array([_increment_integral(w, e, n_grid) for e in eps_desc])
-    # eps^(2q) underflows to 0 on a short enough period; M is checked below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        H = h0 / eps_desc ** (2.0 * q_grid[:, None])
-    bounded = np.all(H[:, 1:] <= 2.0 * H[:, :-1] + 1e-300, axis=1)
+    # an amplitude near the float range overflows into an M the check below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        # H(q, eps) T^(2q) = H(0, eps) / (eps/T)^(2q): one increment integral per eps
+        h0 = np.array([_increment_integral(w, r * w.period_T, n_grid) for r in ratio])
+        H = h0 / ratio ** (2.0 * q_grid[:, None])
+        bounded = np.all(H[:, 1:] <= 2.0 * H[:, :-1] + 1e-300, axis=1)
     # largest bounded exponent, else the roughest admitted one
     i = np.flatnonzero(bounded)[-1] if bounded.any() else 0
     q = float(q_grid[i])
-    M = w.period_T**q * math.sqrt(H[i].max())
+    M = math.sqrt(H[i].max())
     if not math.isfinite(M):
         raise ValueError(f"Hoelder constant M is not finite ({M}) at q = {q:g} for "
                          f"period {w.period_T:g}")

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 import re
@@ -15,8 +16,10 @@ from wfsim import (
     TABLE_SQL,
     DecoheredSignalError,
     ErrorModel,
+    PhaseEnsemble,
     Protocol,
     ReadoutModel,
+    SampleGrid,
     SensorParams,
     WfsimError,
     acquire,
@@ -32,6 +35,7 @@ from wfsim import (
     validate_paper_tables,
     with_seed,
 )
+from wfsim import allocation
 
 P = SensorParams()
 
@@ -423,6 +427,19 @@ class TestPerSeedOracleErrors:
         got = _raised(run_scaling_experiment, scheme, budgets, w, p, m, seeds=3)
         assert got[0] is DecoheredSignalError
         assert got == _raised(_scaling_oracle, scheme, budgets, w, p, m, 3)
+
+    def test_non_finite_estimate_raises_as_the_ensemble_check(self, monkeypatch):
+        # the seed loop keeps the ensemble's finiteness check and its message
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        with pytest.raises(ValueError) as want:
+            PhaseEnsemble(n1=1, n2=1, estimates=[[math.nan]], grid=SampleGrid(1.0, 1), t_s=1e-7,
+                          protocol="ramsey-sql")
+        draw, calls = allocation._acquire, itertools.count()
+        monkeypatch.setattr(allocation, "_acquire", lambda plan, m, rng: draw(plan, m, rng)
+                            * (math.nan if next(calls) == 2 else 1.0))
+        with pytest.raises(ValueError) as got:
+            run_scaling_experiment("sql", [4, 32, 60], w, P, ReadoutModel(seed=1), seeds=4)
+        assert str(got.value) == str(want.value)
 
     def test_wrapping_budget_raises_as_per_seed_loop(self):
         # five times the calibrated tone: 2k phi0 = 2.18 rad at N = 140 (k = 7),

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from wfsim import (
     run_scaling_experiment,
     sensitivity_curve,
 )
+from wfsim import estimator
 from wfsim.cli import main
 
 GOOD_CONFIG = """\
@@ -379,6 +381,23 @@ class TestReconstruct:
             assert float(row["t_seconds"]) == t
             assert float(row["phi_tilde_rad"]) == phi
 
+    def test_truth_is_one_evaluate_call(self, cfg_path, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seeds", "6"])
+        evaluate, calls = estimator.evaluate, []
+        monkeypatch.setattr(estimator, "evaluate",
+                            lambda w, t: calls.append(np.shape(t)) or evaluate(w, t))
+        assert main(["reconstruct", "--config", str(cfg_path),
+                     "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == 0
+        assert calls == [(8,)]
+        # the bytes of one scalar truth call per instant
+        cfg, ens = load_config(cfg_path), read_ensemble_csv(out / "ensemble.csv")
+        want = [[repr(t), repr(float(phi)),
+                 repr(float(estimator.phase_truth(cfg.waveform, cfg.sensor, ens.t_s, t)))]
+                for t, phi in zip(ens.grid.instants, estimator.reconstruct(ens))]
+        with open(out / "reconstruction.csv", newline="") as fh:
+            assert list(csv.reader(fh))[1:] == want
+
 
     @pytest.mark.parametrize("damage", ["truncated", "row_zero", "t_i_off_grid"])
     def test_damaged_ensemble_exits_1(self, cfg_path, tmp_path, capsys, damage):
@@ -604,11 +623,23 @@ class TestHolder:
         out = capsys.readouterr().out
         assert out.startswith("q=1")
 
-    def test_period_without_a_finite_constant_exits_1(self, tmp_path, capsys):
-        # at T = 1e-300, eps^(2q) underflows and M came out inf after a RuntimeWarning
+    def test_short_period_gives_the_same_constant(self, tmp_path, capsys):
+        # eps^(2q) underflowed at T = 1e-300; the estimate now uses eps/T = 2^-j
+        outs = []
+        for period in ("9.6e-6", "1e-300"):
+            path = tmp_path / "exp.yaml"
+            path.write_text(WAVEFORM.replace("9.6e-6", period))
+            assert main(["holder", "--config", str(path)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("q=1 M=")
+        assert outs[1] == outs[0]
+
+    def test_overflowing_amplitude_exits_1_without_a_warning(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"
-        path.write_text(WAVEFORM.replace("9.6e-6", "1e-300"))
-        assert main(["holder", "--config", str(path)]) == 1
+        path.write_text(WAVEFORM.replace("5.906e-7", "1e200"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["holder", "--config", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not finite" in captured.err

@@ -32,6 +32,9 @@ from wfsim.measurement import (
     DEFAULT_PHOTONS_PER_SHOT,
     SHOTS_REF,
     _noisy_signal,
+    _philox,
+    _rekey,
+    _seed_keys,
     quadrature_noise_std,
 )
 
@@ -397,6 +400,51 @@ class TestPlannedAcquisition:
         # a 5 uT tone at k = 20 accumulates 9.76 rad
         with pytest.raises(WfsimError, match="atan2 branch"):
             plan_acquisition(Protocol.PDD_TDQD, tone(5e-6), P_INF, 8, 40, 150e-9)
+
+
+def _seed_sequence_key(*entropy) -> int:
+    return int(np.random.SeedSequence(list(entropy)).generate_state(1, np.uint64)[0])
+
+
+class TestSeedKeys:
+    """The vectorised key rule equals SeedSequence, and a re-keyed Philox a fresh one."""
+
+    # seed and N of two and three words overflow the 4-word pool
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), N=st.integers(1, 2**70 - 1),
+           s=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=300))
+    @example(seed=2**64 - 1, N=2**70 - 1, s=[0, 1, 2**32 - 1])
+    @example(seed=0, N=1, s=list(range(300)))
+    def test_keys_equal_seed_sequence(self, seed, N, s):
+        got = _seed_keys(seed, N, np.array(s, dtype=np.uint64))
+        assert got.dtype == np.uint64
+        assert got.tolist() == [_seed_sequence_key(seed, N, x) for x in s]
+
+    @pytest.mark.parametrize("entropy", [(), (5,), (140, 3), (2**40, 2**33), (2**70, 0, 1)])
+    def test_with_seed_equals_seed_sequence(self, entropy):
+        for seed in (0, 7, 2**64 - 1):
+            assert with_seed(ReadoutModel(seed=seed), *entropy).seed == \
+                _seed_sequence_key(seed, *entropy)
+
+    def test_rejects_negative_or_wide_words(self):
+        with pytest.raises(ValueError):
+            _seed_keys(1, -2, np.arange(3))
+        with pytest.raises(ValueError):
+            _seed_keys(1, 2, np.array([0, 2**32]))
+
+    @pytest.mark.parametrize("draw", [
+        lambda g: g.standard_normal((3, 5, 2)),
+        lambda g: g.poisson([[0.5, 3.0], [40.0, 1e4]]),
+    ], ids=["standard_normal", "poisson"])
+    def test_rekeyed_draws_equal_fresh_philox(self, draw):
+        rng = _philox()
+        for key in (0, 1, 2**63 + 5, 2**64 - 1):
+            # leave a part-used buffer, an advanced counter and a cached uint32 behind
+            draw(rng)
+            rng.integers(0, 7, size=3, dtype=np.uint32)
+            fresh = np.random.Generator(np.random.Philox(key=np.uint64(key)))
+            assert np.array_equal(draw(_rekey(rng, key)), draw(fresh))
+            assert rng.bit_generator.state["has_uint32"] == fresh.bit_generator.state["has_uint32"]
 
 
 class TestCsvRoundTrip:

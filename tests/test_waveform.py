@@ -294,6 +294,15 @@ class TestHolder:
         with pytest.raises(ValueError):
             estimate_holder(w, n_grid=32)
 
+    @pytest.mark.parametrize("period", [1e-300, 1e300])
+    def test_constant_is_scale_free_in_the_period(self, period):
+        # M = sqrt(max h0 / (eps/T)^(2q)) with eps/T = 2^-j: at T = 1e-300 the
+        # old eps^(2q) underflowed to an infinite M, at T = 1e300 it overflowed to M = 0
+        want = estimate_holder(WaveformSpec.harmonic(T_FIG4, 1e-6))
+        est = estimate_holder(WaveformSpec.harmonic(period, 1e-6))
+        assert est.q == want.q == 1.0
+        assert est.M == pytest.approx(want.M, rel=1e-13)
+
 
 def test_runs_without_scipy():
     # scipy is a test-only dependency: the package must import and integrate without it
