@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import logging
 import math
@@ -44,9 +45,12 @@ T_S = 150e-9
 
 
 def _setup_logging():
-    level = os.environ.get("WFSIM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
+    """Set the package logger's level from WFSIM_LOG on every call; only the
+    first call installs the stderr handler, as basicConfig does nothing once
+    the root logger has one.  A name that is not a level means WARNING."""
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    level = getattr(logging, os.environ.get("WFSIM_LOG", "WARNING").upper(), None)
+    log.setLevel(level if isinstance(level, int) else logging.WARNING)
 
 
 def _setting(flag, value, default):
@@ -241,7 +245,13 @@ def cmd_holder(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The wfsim argument parser, built on the first call and shared by every
+    later one: no argument has a mutable default and help reads the terminal
+    width when it is printed, so ``parse_args`` leaves the parser as it was.
+    ``set_defaults(func=cmd_*)`` binds each command function when the parser
+    is built; patching a ``cli.cmd_*`` afterwards does not reach ``main``."""
     parser = argparse.ArgumentParser(prog="wfsim",
                                      description="waveform-estimation simulator")
     parser.add_argument("--version", action="version", version=__version__)
@@ -307,8 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

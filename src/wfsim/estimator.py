@@ -80,9 +80,18 @@ def phase_to_tesla(phi, p: SensorParams, t_s: float):
 
 
 def _hold_error_sq(truth: WaveformSpec, p: SensorParams, t_s: float, phi_held):
-    """(1/T) int (phi_held_i - phi(t))^2 dt over each hold window, in rad^2."""
+    """(1/T) int (phi_held_i - phi(t))^2 dt over each hold window, in rad^2.
+
+    The windows are integrated in tesla, so a tiny gamma_e * t_s can overflow
+    the squares before the rescale; that raises ValueError, not a nan score."""
     scale = (2.0 * p.gamma_e * t_s) ** 2 / truth.period_T
-    return scale * hold_error(truth, phase_to_tesla(phi_held, p, t_s))
+    with np.errstate(all="ignore"):
+        err = scale * hold_error(truth, phase_to_tesla(phi_held, p, t_s))
+    if not np.isfinite(err).all():
+        raise ValueError(f"the hold error, integrated in tesla, is not finite: held phases up "
+                         f"to {np.abs(phi_held).max():.3g} rad at gamma_e * t_s = "
+                         f"{p.gamma_e * t_s:.3g} rad/T")
+    return err
 
 
 def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> ErrorReport:

@@ -142,20 +142,27 @@ def quadrature_noise_std(m: ReadoutModel, p: SensorParams) -> float:
 
 
 def _noisy_signal(s_true: np.ndarray, m: ReadoutModel, p: SensorParams,
-                  rng: np.random.Generator, sigma_scale: float = 1.0) -> np.ndarray:
-    """Vectorized noisy readout of signal values in [-1, 1]."""
+                  rng: np.random.Generator, sigma_scale: float = 1.0,
+                  shape: tuple | None = None) -> np.ndarray:
+    """Vectorized noisy readout of signal values in [-1, 1]: one draw per cell
+    of shape (s_true's own by default), which s_true broadcasts to."""
     s_true = np.asarray(s_true, dtype=float)
+    shape = s_true.shape if shape is None else shape
     if m.noise_mode == "none":
-        return s_true.copy()
+        return np.broadcast_to(s_true, shape).copy()
     if m.noise_mode == "gaussian":
         sigma = sigma_scale * quadrature_noise_std(m, p)
-        return s_true + sigma * rng.standard_normal(s_true.shape)
+        # in place: s_true + noise would allocate a second array of shape, as
+        # numpy reuses a temporary only for an operand of the result's shape
+        noisy = sigma * rng.standard_normal(shape)
+        noisy += s_true
+        return noisy
     # Poisson photon counting: bright-state probability (1 + s)/2,
     # fluorescence mean n_b (1 - C (1 - p_bright)) per shot
     c = p.contrast_C
     n_b = m.photons_per_shot_bright
     mu = m.shots_R * n_b * (1.0 - c / 2.0 + (c / 2.0) * s_true)
-    counts = rng.poisson(mu)
+    counts = rng.poisson(mu, shape)
     return (counts / m.shots_R - n_b * (1.0 - c / 2.0)) * 2.0 / (c * n_b)
 
 
@@ -281,8 +288,8 @@ def _acquire(plan: AcquisitionPlan, m: ReadoutModel, rng: np.random.Generator) -
     with m's noise drawn from rng, inverted by atan2 back to the differential
     convention: a (n1, n_cols) matrix."""
     kind, signal = plan.kind, plan.signal
-    s_true = np.broadcast_to(signal[:, None, :], (len(signal), plan.n_cols, 2))
-    noisy = _noisy_signal(s_true, m, plan.p, rng, sigma_scale=_noise_scale(kind, m))
+    noisy = _noisy_signal(signal[:, None], m, plan.p, rng, sigma_scale=_noise_scale(kind, m),
+                          shape=(len(signal), plan.n_cols, 2))
     cos_hat, sin_hat = _quadratures(kind, noisy[..., 0], noisy[..., 1])
     return np.arctan2(sin_hat, cos_hat) / plan.gain
 

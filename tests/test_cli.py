@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import logging
 import math
 import os
 import re
@@ -25,7 +27,7 @@ from wfsim import (
     run_scaling_experiment,
     sensitivity_curve,
 )
-from wfsim import estimator
+from wfsim import cli, estimator
 from wfsim.cli import main
 
 GOOD_CONFIG = """\
@@ -457,6 +459,18 @@ class TestReconstruct:
                      "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == rc
         assert ("t_i" in capsys.readouterr().err) == (rc == 1)
 
+    def test_hold_error_overflowing_in_tesla_exits_1(self, tmp_path, capsys):
+        # delta=nan and a NaN, which is not JSON, in error_report.json used to exit 0
+        path = tmp_path / "exp.yaml"
+        path.write_text(WAVEFORM + "sensor:\n  gamma_e: 1e-300\n")
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        assert main(["reconstruct", "--config", str(path),
+                     "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == 1
+        assert "hold error, integrated in tesla, is not finite" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["ensemble.csv",
+                                                         "ensemble.csv.meta.json"]
+
 
 class TestAllocate:
     def test_table_ii_row(self, capsys):
@@ -551,6 +565,22 @@ class TestScaling:
             f"INFO wfsim.allocation: scaling hql N={N} n1={n1} n2={n2} seeds=4"
             for N, n1, n2 in ((140, 10, 14), (560, 20, 28), (2240, 40, 56))]
 
+    @pytest.mark.parametrize("config", ["sensor:\n  gamma_e: 1e-300\n",
+                                        "protocol:\n  t_s: 1e-300\n"],
+                             ids=["gamma_e", "t_s"])
+    def test_hold_error_overflowing_in_tesla_exits_1(self, tmp_path, capsys, config):
+        # the scores squared phi / (2 gamma_e t_s): four RuntimeWarnings, then
+        # slope=nan, nan deltas in the CSV and exit 0
+        path = tmp_path / "exp.yaml"
+        path.write_text(config)
+        out = tmp_path / "run"
+        assert main(["scaling", "--scheme", "hql", "--config", str(path), "--seeds", "2",
+                     "--no-decoherence", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "hold error, integrated in tesla, is not finite" in captured.err
+        assert not out.exists()
+
     def test_protocol_t_s_sets_the_window(self, tmp_path):
         path = tmp_path / "exp.yaml"
         path.write_text("protocol:\n  t_s: 300e-9\n"
@@ -643,3 +673,105 @@ class TestHolder:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "not finite" in captured.err
+
+
+class TestRepeatedCalls:
+    """main may be called many times in one process: it parses with one parser,
+    built on the first call, and reads WFSIM_LOG on every call."""
+
+    def test_parser_is_built_once(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        for n in (560, 140, 2240, 12, 560):
+            assert main(["allocate", "--scheme", "hql", "--n", str(n)]) == 0
+        assert len(built) == 8  # wfsim and its seven subcommands
+        assert built[0] == "wfsim"
+        assert capsys.readouterr().out.splitlines()[-1] == "n1=20,n2=28"
+
+    def test_interleaved_calls_equal_calls_alone(self, cfg_path, tmp_path, monkeypatch,
+                                                 capsys):
+        # a flag of one call must not reach the next: --k 3 then the config's k = 7,
+        # --budget then the exact split
+        scaling = tmp_path / "scaling.yaml"
+        scaling.write_text("experiment:\n  budgets: [140, 560, 2240]\n  seeds: 4\n")
+        calls = [["simulate", "--config", str(cfg_path), "--k", "3"],
+                 ["simulate", "--config", str(cfg_path)],
+                 ["allocate", "--scheme", "sql", "--n", "1009", "--budget"],
+                 ["allocate", "--scheme", "sql", "--n", "1009"],
+                 ["scaling", "--scheme", "hql", "--config", str(scaling), "--no-decoherence"]]
+
+        def run(argv, where):
+            where.mkdir(parents=True)
+            monkeypatch.chdir(where)
+            rc = main([*argv, "--deterministic", "--out", "run"])
+            captured = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted(where.glob("run/*"))}
+            return rc, captured.out, captured.err, files
+
+        together = [run(argv, tmp_path / "together" / str(i)) for i, argv in enumerate(calls)]
+        alone = []
+        for i, argv in enumerate(calls):
+            cli.build_parser.cache_clear()
+            alone.append(run(argv, tmp_path / "alone" / str(i)))
+        assert together == alone
+        assert [rc for rc, *_ in together] == [0] * 5
+        metas = [json.loads(together[i][3]["ensemble.csv.meta.json"]) for i in (0, 1)]
+        assert [m["k"] for m in metas] == [3, 7]
+        assert together[2][1] != together[3][1]
+
+    def test_help_and_version_after_earlier_calls(self, capsys):
+        assert main(["allocate", "--scheme", "hql", "--n", "560"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["allocate", "--scheme", "hql"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv, text in ((["--version"], wfsim.__version__),
+                           (["allocate", "--help"], "usage: wfsim allocate")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            assert text in capsys.readouterr().out
+        assert main(["allocate", "--scheme", "hql", "--n", "560"]) == 0
+        assert capsys.readouterr().out == "n1=20,n2=28\n"
+
+    @pytest.mark.parametrize("level", ["root", "getLogger", "verbose"])
+    def test_wfsim_log_that_names_no_level_means_warning(self, monkeypatch, capsys, level):
+        # getattr(logging, "ROOT") is the root logger, not a level: a TypeError
+        monkeypatch.setenv("WFSIM_LOG", level)
+        assert main(["allocate", "--scheme", "hql", "--n", "560"]) == 0
+        assert logging.getLogger("wfsim").level == logging.WARNING
+
+    def test_wfsim_log_is_read_on_every_call(self, tmp_path):
+        # basicConfig set the level on the first call only: INFO set after a
+        # WARNING call logged nothing
+        path = tmp_path / "exp.yaml"
+        path.write_text("experiment:\n  budgets: [140, 560, 2240]\n  seeds: 2\n")
+        scaling = ["scaling", "--scheme", "hql", "--config", str(path), "--no-decoherence",
+                   "--out", str(tmp_path)]
+        script = (
+            "import os, sys\n"
+            "from wfsim.cli import main\n"
+            f"calls = [['allocate', '--scheme', 'hql', '--n', '560']] + [{scaling!r}] * 3\n"
+            "for level, argv in zip(['WARNING', 'INFO', 'WARNING', 'INFO'], calls):\n"
+            "    os.environ['WFSIM_LOG'] = level\n"
+            "    print('call', level, file=sys.stderr, flush=True)\n"
+            "    assert main(argv) == 0\n"
+        )
+        src = str(Path(wfsim.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("WFSIM_LOG", None)
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        budgets = [f"INFO wfsim.allocation: scaling hql N={N} n1={n1} n2={n2} seeds=2"
+                   for N, n1, n2 in ((140, 10, 14), (560, 20, 28), (2240, 40, 56))]
+        assert [re.sub(r" [\d.]+s$", "", ln) for ln in proc.stderr.splitlines()] == [
+            "call WARNING", "call INFO", *budgets, "call WARNING", "call INFO", *budgets]

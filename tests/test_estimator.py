@@ -201,6 +201,19 @@ class TestReconError:
         with pytest.raises(ValueError, match="phi_bar must be"):
             recon_error_sq(np.zeros(shape), tone(), P, T_S)
 
+    @pytest.mark.parametrize("gamma_e, t_s", [(1e-300, T_S), (P.gamma_e, 1e-300),
+                                              (1e-300, 1e-300)],
+                             ids=["gamma_e", "t_s", "both"])
+    def test_overflow_in_tesla_units_raises(self, gamma_e, t_s):
+        # the windows are integrated in tesla: phi / (2 gamma_e t_s) squared used
+        # to overflow into a nan score after numpy RuntimeWarnings
+        p = dataclasses.replace(P, gamma_e=gamma_e)
+        with pytest.raises(ValueError, match="hold error, integrated in tesla, is not finite"):
+            recon_error_sq(np.full((3, 4), 0.01), tone(), p, t_s)
+        ens = synthetic_ensemble(tone(), 4, 3, seed=1)
+        with pytest.raises(ValueError, match="not finite"):
+            decompose_error(dataclasses.replace(ens, t_s=t_s), tone(), p)
+
 
 def random_walk_table():
     # 257 uniform knots carrying a Gaussian random walk: a kink at every knot

@@ -96,6 +96,19 @@ class TestSimulateReadout:
         assert draws.mean() == pytest.approx(s_true, abs=4 * sigma / math.sqrt(4000))
         assert draws.std(ddof=1) == pytest.approx(sigma, rel=0.1)
 
+    @pytest.mark.parametrize("mode", ["gaussian", "poisson", "none"])
+    def test_shape_draws_as_the_broadcast_signal(self, mode):
+        # the draw kernel passes an (n1, 1, 2) signal and the (n1, n_cols, 2)
+        # output shape; it must give the bits of drawing on the broadcast signal
+        m = ReadoutModel(noise_mode=mode)
+        s_true = np.random.default_rng(1).uniform(-1, 1, (5, 1, 2))
+        shape = (5, 7, 2)
+        drawn = _noisy_signal(s_true, m, P, np.random.default_rng(3), shape=shape)
+        broadcast = _noisy_signal(np.broadcast_to(s_true, shape), m, P,
+                                  np.random.default_rng(3))
+        assert drawn.shape == shape
+        assert drawn.tobytes() == broadcast.tobytes()
+
     def test_poisson_snr_matches_reference(self):
         # C / sigma at the default shots equals the quoted SNR of 50
         m = ReadoutModel(noise_mode="poisson")
