@@ -130,12 +130,17 @@ def _section(name: str, data):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
+# libyaml's parser, about 8x faster than the pure-Python one, with safe_load's
+# constructor and resolver; the Python parser where libyaml is not built in
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> ExperimentConfig:
     """Load and validate a YAML experiment configuration file.  A relative
     ``waveform.csv`` path names a file in the config file's directory."""
     try:
         with open(path) as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_LOADER)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

@@ -141,39 +141,6 @@ def quadrature_noise_std(m: ReadoutModel, p: SensorParams) -> float:
     return math.sqrt(4.0 * (1.0 - c / 2.0) / (c**2 * m.photons_per_shot_bright * m.shots_R))
 
 
-def _noisy_signal(s_true: np.ndarray, m: ReadoutModel, p: SensorParams,
-                  rng: np.random.Generator, sigma_scale: float = 1.0,
-                  shape: tuple | None = None) -> np.ndarray:
-    """Vectorized noisy readout of signal values in [-1, 1]: one draw per cell
-    of shape (s_true's own by default), which s_true broadcasts to."""
-    s_true = np.asarray(s_true, dtype=float)
-    shape = s_true.shape if shape is None else shape
-    if m.noise_mode == "none":
-        return np.broadcast_to(s_true, shape).copy()
-    if m.noise_mode == "gaussian":
-        sigma = sigma_scale * quadrature_noise_std(m, p)
-        # in place: s_true + noise would allocate a second array of shape, as
-        # numpy reuses a temporary only for an operand of the result's shape
-        noisy = sigma * rng.standard_normal(shape)
-        noisy += s_true
-        return noisy
-    # Poisson photon counting: bright-state probability (1 + s)/2,
-    # fluorescence mean n_b (1 - C (1 - p_bright)) per shot
-    c = p.contrast_C
-    n_b = m.photons_per_shot_bright
-    mu = m.shots_R * n_b * (1.0 - c / 2.0 + (c / 2.0) * s_true)
-    counts = rng.poisson(mu, shape)
-    return (counts / m.shots_R - n_b * (1.0 - c / 2.0)) * 2.0 / (c * n_b)
-
-
-def _noise_scale(kind: Protocol, m: ReadoutModel) -> float:
-    """Quadrature-noise scale of one readout."""
-    # one Ramsey pass accumulates half the differential phase; the Gaussian
-    # calibration is anchored to per-resource noise in the differential
-    # convention, so the doubled estimate gets half the quadrature noise
-    return 0.5 if kind is Protocol.RAMSEY_SQL and m.noise_mode == "gaussian" else 1.0
-
-
 def _signal(kind: Protocol, phases, env: float, k: int) -> tuple[np.ndarray, float]:
     """Noiseless two-quadrature readout of each window phase, scaled by the
     envelope: a (len(phases), 2) matrix, and the protocol's phase gain."""
@@ -283,17 +250,6 @@ def plan_acquisition(kind: Protocol, w: WaveformSpec, p: SensorParams, n1: int, 
                            signal=signal, gain=gain, meta=meta)
 
 
-def _acquire(plan: AcquisitionPlan, m: ReadoutModel, rng: np.random.Generator) -> np.ndarray:
-    """The draw kernel: plan.n_cols noisy readouts of each noiseless signal row,
-    with m's noise drawn from rng, inverted by atan2 back to the differential
-    convention: a (n1, n_cols) matrix."""
-    kind, signal = plan.kind, plan.signal
-    noisy = _noisy_signal(signal[:, None], m, plan.p, rng, sigma_scale=_noise_scale(kind, m),
-                          shape=(len(signal), plan.n_cols, 2))
-    cos_hat, sin_hat = _quadratures(kind, noisy[..., 0], noisy[..., 1])
-    return np.arctan2(sin_hat, cos_hat) / plan.gain
-
-
 def _philox() -> np.random.Generator:
     """A Philox generator to re-key with :func:`_rekey`.  The fixed seed keeps
     it off os.urandom, which Philox(key=...) reads for a throwaway SeedSequence."""
@@ -314,12 +270,61 @@ def _rekey(rng: np.random.Generator, key: int) -> np.random.Generator:
     return rng
 
 
+def _noisy_readout(plan: AcquisitionPlan, m: ReadoutModel, keys) -> np.ndarray:
+    """plan.n_cols noisy (X, Y) readouts of each noiseless signal row with m's
+    noise, for each Philox key: a (len(keys), n1, n_cols, 2) stack.
+
+    Each key's raw noise is drawn by a freshly keyed generator into its own
+    slice of the stack; the noise transform then runs once over the stack, so
+    slice s equals the draw of key s alone."""
+    p, signal = plan.p, plan.signal[:, None]
+    shape = (len(plan.signal), plan.n_cols, 2)
+    noisy = np.empty((len(keys), *shape))
+    if m.noise_mode == "none":
+        noisy[...] = signal
+        return noisy
+    rng = _philox()
+    if m.noise_mode == "gaussian":
+        # one Ramsey pass accumulates half the differential phase; the Gaussian
+        # calibration is anchored to per-resource noise in the differential
+        # convention, so the doubled estimate gets half the quadrature noise
+        scale = 0.5 if plan.kind is Protocol.RAMSEY_SQL else 1.0
+        for s, key in enumerate(keys):
+            _rekey(rng, key).standard_normal(out=noisy[s])
+        noisy *= scale * quadrature_noise_std(m, p)
+        noisy += signal
+        return noisy
+    # Poisson photon counting: bright-state probability (1 + s)/2,
+    # fluorescence mean n_b (1 - C (1 - p_bright)) per shot
+    c = p.contrast_C
+    n_b = m.photons_per_shot_bright
+    mu = m.shots_R * n_b * (1.0 - c / 2.0 + (c / 2.0) * signal)
+    for s, key in enumerate(keys):
+        noisy[s] = _rekey(rng, key).poisson(mu, shape)
+    # (counts / shots_R - n_b (1 - c/2)) * 2.0 / (c n_b), one rounding at a time
+    noisy /= m.shots_R
+    noisy -= n_b * (1.0 - c / 2.0)
+    noisy *= 2.0
+    noisy /= c * n_b
+    return noisy
+
+
+def _acquire(plan: AcquisitionPlan, m: ReadoutModel, keys) -> np.ndarray:
+    """The draw kernel: the noisy readouts of each Philox key, inverted by atan2
+    back to the differential convention in one pass over the whole stack: a
+    (len(keys), n1, n_cols) stack of phase estimates."""
+    noisy = _noisy_readout(plan, m, keys)
+    cos_hat, sin_hat = _quadratures(plan.kind, noisy[..., 0], noisy[..., 1])
+    phi = np.arctan2(sin_hat, cos_hat)
+    phi /= plan.gain
+    return phi
+
+
 def acquire_planned(plan: AcquisitionPlan, m: ReadoutModel) -> PhaseEnsemble:
     """The ensemble of :func:`acquire` for a plan, drawn with m's noise and seed."""
     meta = {"seed": m.seed, "noise_mode": m.noise_mode, "shots_R": m.shots_R, **plan.meta}
-    estimates = _acquire(plan, m, _rekey(_philox(), m.seed))
-    return PhaseEnsemble(n1=plan.grid.n1, n2=plan.n2, estimates=estimates, grid=plan.grid,
-                         t_s=plan.t_s, protocol=plan.kind.value, meta=meta)
+    return PhaseEnsemble(n1=plan.grid.n1, n2=plan.n2, estimates=_acquire(plan, m, [m.seed])[0],
+                         grid=plan.grid, t_s=plan.t_s, protocol=plan.kind.value, meta=meta)
 
 
 def acquire_ensemble_hql(w: WaveformSpec, p: SensorParams, m: ReadoutModel, n1: int,
@@ -340,14 +345,16 @@ def write_ensemble_csv(e: PhaseEnsemble, path, deterministic: bool = False) -> N
     One row per cell, in (i, j) order, with floats in shortest repr form.
     """
     path = str(path)
+    j_strs = [str(j) for j in range(1, e.estimates.shape[1] + 1)]
     with open(path, "w", newline="") as fh:
         fh.write(_CSV_HEADER)
         for i, (t, row) in enumerate(zip(e.grid.instants, e.estimates), start=1):
-            t_i = repr(t)
+            # row "i,j,t_i,phi" is pre + mid.join((j, phi)); the joins run in C
+            pre, mid, sep = f"{i},", f",{t!r},", f"\n{i},"
             for j0 in range(0, len(row), _CSV_BLOCK_ROWS):
-                block = row[j0:j0 + _CSV_BLOCK_ROWS].tolist()
-                fh.write("".join([f"{i},{j},{t_i},{phi!r}\n"
-                                  for j, phi in enumerate(block, start=j0 + 1)]))
+                j1 = j0 + _CSV_BLOCK_ROWS
+                cells = zip(j_strs[j0:j1], map(repr, row[j0:j1].tolist()))
+                fh.write(pre + sep.join(map(mid.join, cells)) + "\n")
     meta = dict(e.meta)
     meta.update({
         "n1": e.n1, "n2": e.n2, "t_s": e.t_s, "protocol": e.protocol,
@@ -414,21 +421,29 @@ def _read_sidecar(path: str) -> dict:
         if not ok(meta.get(key)):
             got = repr(meta[key]) if key in meta else "no such key"
             raise ValueError(f"{path}: {key!r} must be {want}, got {got}")
+    if meta["protocol"] != Protocol.RAMSEY_SQL and meta["n2"] % 2 != 0:
+        # a k-pass estimate spends n2 = 2k resources
+        raise ValueError(f"{path}: 'n2' of a {meta['protocol']} ensemble must be even, "
+                         f"got {meta['n2']}")
     return meta
 
 
 def read_ensemble_csv(path) -> PhaseEnsemble:
     """Read an ensemble written by :func:`write_ensemble_csv`.
 
-    The sidecar must hold a valid n1, n_cols, n2, period_T, t_s and protocol,
-    and a finite t_i if it has one.
+    The sidecar must hold a valid n1, n_cols, n2 (even for a k-pass protocol),
+    period_T, t_s and protocol, and a finite t_i if it has one.
     Rows may come in any order, but every cell must appear exactly once with
-    a finite phase, and each row's t_i_seconds must be grid instant i
-    (relative tolerance 1e-12).  Each failure names its line or sidecar key.
+    a finite phase within an atan2 estimate's range, |phi| <= pi / gain (the
+    protocol's phase gain at k = n2 // 2), and each row's t_i_seconds must be
+    grid instant i (relative tolerance 1e-12).  Each failure names its line or
+    sidecar key.
     """
     path = str(path)
     meta = _read_sidecar(path + ".meta.json")
     n1, n_cols = meta["n1"], meta["n_cols"]
+    # atan2 returns [-pi, pi], so no estimate exceeds pi over its phase gain
+    phi_max = np.pi / _phase_gain(Protocol(meta["protocol"]), meta["n2"] // 2)
     grid = SampleGrid(meta["period_T"], n1)
     instants = np.array(grid.instants)
     # n1 * n_cols in-range rows that repeat no cell fill every cell
@@ -461,11 +476,14 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
                                  f"{float(rows['t_i'][k])!r} is not grid instant "
                                  f"{i[k] + 1} ({float(want[k])!r})")
             phi = rows["phi"]
-            bad = ~np.isfinite(phi)
+            bad = ~(np.abs(phi) <= phi_max)
             if bad.any():
                 k = int(np.argmax(bad))
-                raise ValueError(f"ensemble CSV line {first_line + k}: phase "
-                                 f"{float(phi[k])!r} is not finite")
+                x = float(phi[k])
+                why = (f"is outside [-pi/gain, pi/gain] = [{-phi_max!r}, {phi_max!r}], the "
+                       f"range of an atan2 estimate of {meta['protocol']} at n2 = {meta['n2']}"
+                       if math.isfinite(x) else "is not finite")
+                raise ValueError(f"ensemble CSV line {first_line + k}: phase {x!r} {why}")
             cells = np.ravel_multi_index((i, j), (n1, n_cols))
             if repeat is None and (k := _first_repeat(cells, filled)) is not None:
                 repeat = (first_line + k, int(cells[k]))

@@ -54,6 +54,61 @@ def _budget_oracle(m, N):
 KINDS = {"sql": Protocol.RAMSEY_SQL, "hql": Protocol.PDD_TDQD}
 
 
+@pytest.mark.parametrize("noise_mode", ["gaussian", "poisson", "none"])
+class TestSeedChunks:
+    """The seed loop draws its seeds in chunks of about _CHUNK_DRAWS noise
+    draws; where the chunks fall moves no bit."""
+
+    @staticmethod
+    def chunk_lengths(monkeypatch):
+        lengths, draw = [], allocation._acquire
+
+        def spy(plan, m, keys):
+            lengths.append(len(keys))
+            return draw(plan, m, keys)
+        monkeypatch.setattr(allocation, "_acquire", spy)
+        return lengths
+
+    @pytest.mark.parametrize("scheme, budgets, seeds, chunks, chunk_draws", [
+        # sql N = 480 is (8, 60): 960 draws a seed, 34 seeds in 2^15 draws
+        ("sql", [480], 40, [34, 6], None),
+        # sql N = 20000 is (25, 800): 40000 draws a seed, more than a chunk
+        ("sql", [20000], 3, [1, 1, 1], None),
+        # hql N = 140 is (10, 14) with one column: 20 draws a seed
+        ("hql", [140], 12, [5, 5, 2], 100),
+        # hql N = 1924 is (37, 52): 74 draws a seed; sql N = 32 is (4, 8): 64
+        ("hql", [1924], 3, [1, 1, 1], 100),
+        ("sql", [32], 3, [1, 1, 1], 100),
+    ])
+    def test_scaling_rows_equal_per_seed_oracle(self, monkeypatch, noise_mode, scheme, budgets,
+                                                seeds, chunks, chunk_draws):
+        if chunk_draws is not None:
+            monkeypatch.setattr(allocation, "_CHUNK_DRAWS", chunk_draws)
+        lengths = self.chunk_lengths(monkeypatch)
+        w, m = calibrated_tone(P, 150e-9, 9.6e-6), ReadoutModel(seed=5, noise_mode=noise_mode)
+        rows, _ = run_scaling_experiment(scheme, budgets, w, P, m, seeds=seeds,
+                                         decoherence=False)
+        assert lengths == chunks
+        assert rows == _scaling_oracle(scheme, budgets, w, P, m, seeds, decoherence=False)
+
+    @pytest.mark.parametrize("scheme, n1, seeds, chunks, chunk_draws", [
+        # n2 = 4 at n1 = 4: 32 draws a seed for sql, 8 for hql
+        ("sql", 4, 7, [3, 3, 1], 100),
+        ("hql", 4, 30, [12, 12, 6], 100),
+        # hql at n1 = 20000: 40000 draws a seed, more than a chunk
+        ("hql", 20000, 3, [1, 1, 1], None),
+    ])
+    def test_statistical_curve_equals_per_seed_oracle(self, monkeypatch, noise_mode, scheme, n1,
+                                                      seeds, chunks, chunk_draws):
+        if chunk_draws is not None:
+            monkeypatch.setattr(allocation, "_CHUNK_DRAWS", chunk_draws)
+        lengths = self.chunk_lengths(monkeypatch)
+        w, m = calibrated_tone(P, 150e-9, 9.6e-6), ReadoutModel(seed=8, noise_mode=noise_mode)
+        got = statistical_error_curve(scheme, [4], w, P, m, n1=n1, seeds=seeds)
+        assert lengths == chunks
+        assert got == _stat_oracle(scheme, [4], w, P, m, seeds, n1=n1)
+
+
 def _seed_phi_bar(scheme, w, p, m, n1, n2, key, s):
     # one full acquisition per (budget, seed), as before acquisition was
     # planned once per budget
@@ -435,7 +490,7 @@ class TestPerSeedOracleErrors:
             PhaseEnsemble(n1=1, n2=1, estimates=[[math.nan]], grid=SampleGrid(1.0, 1), t_s=1e-7,
                           protocol="ramsey-sql")
         draw, calls = allocation._acquire, itertools.count()
-        monkeypatch.setattr(allocation, "_acquire", lambda plan, m, rng: draw(plan, m, rng)
+        monkeypatch.setattr(allocation, "_acquire", lambda plan, m, keys: draw(plan, m, keys)
                             * (math.nan if next(calls) == 2 else 1.0))
         with pytest.raises(ValueError) as got:
             run_scaling_experiment("sql", [4, 32, 60], w, P, ReadoutModel(seed=1), seeds=4)

@@ -420,6 +420,26 @@ class TestReconstruct:
                      "--ensemble", str(path), "--out", str(out)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_out_of_range_phase_exits_1_without_a_warning(self, cfg_path, tmp_path, capsys):
+        # a phase beyond pi/gain, which no atan2 estimate gives, used to reach
+        # decompose_error and overflow its square with a RuntimeWarning
+        out = tmp_path / "run"
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(out),
+                     "--seeds", "3"]) == 0
+        path = out / "ensemble.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",1e200\n"
+        path.write_text("".join(lines))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["reconstruct", "--config", str(cfg_path),
+                       "--ensemble", str(path), "--out", str(out)])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        assert re.search(r"^error: ensemble CSV line 4: phase 1e\+200 is outside",
+                         capsys.readouterr().err, re.M)
+        assert not (out / "error_report.json").exists()
+
     def test_sidecar_without_n_cols_exits_1(self, cfg_path, tmp_path, capsys):
         # a missing sidecar key is a runtime error naming the key, not a traceback
         out = tmp_path / "run"

@@ -103,3 +103,35 @@ def test_random_edits_keep_the_contract(command, data):
                                            unique=True)):
         cfg = edited(cfg, section, key, data.draw(values(section, key)))
     check_contract(command, cfg)
+
+
+# scalars as a config may spell them, beside the edges yaml.safe_dump writes
+SPELLINGS = ["1e-300", "150e-9", "2e6", "1.0e+300", "-0.0", ".inf", "-.inf", ".nan", "inf",
+             "NaN", "0x10", "0o17", "0b101", "1_000", "+1", "12:30", "18446744073709551615",
+             "1180591620717411303424", "yes", "~", "'2e6'", "[1, 2e6]", "{a: 1}", "2001-12-14"]
+
+
+@pytest.mark.skipif(not hasattr(yaml, "CSafeLoader"), reason="PyYAML built without libyaml")
+class TestLibyamlLoader:
+    """load_config parses with libyaml; it must read every config as the
+    pure-Python safe_load does.  repr tells nan, -0.0, 1 and 1.0 apart."""
+
+    @staticmethod
+    def both(text):
+        return (repr(yaml.load(text, Loader=yaml.CSafeLoader)),
+                repr(yaml.load(text, Loader=yaml.SafeLoader)))
+
+    def test_load_config_uses_libyaml(self):
+        from wfsim import config
+        assert config._LOADER is yaml.CSafeLoader
+
+    @pytest.mark.parametrize("section, key", KEYS, ids=[f"{s}.{k}" for s, k in KEYS])
+    def test_every_edge_parses_as_safe_load(self, section, key):
+        for value in EDGES:
+            c, py = self.both(yaml.safe_dump(edited(BASE, section, key, value)))
+            assert c == py
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_hand_spellings_parse_as_safe_load(self, spelling):
+        c, py = self.both(f"readout:\n  seed: {spelling}\n")
+        assert c == py

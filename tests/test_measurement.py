@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +32,14 @@ from wfsim import (
 from wfsim.measurement import (
     DEFAULT_PHOTONS_PER_SHOT,
     SHOTS_REF,
-    _noisy_signal,
+    _acquire,
+    _noisy_readout,
     _philox,
     _rekey,
     _seed_keys,
     quadrature_noise_std,
 )
+from wfsim.sensor import _phase_gain
 
 T_FIG2 = 2.4e-6
 T_FIG4 = 9.6e-6
@@ -46,6 +49,42 @@ P_INF = P.without_decoherence()
 
 def tone(amplitude=1e-6, T=T_FIG4):
     return WaveformSpec.harmonic(T, amplitude)
+
+
+def _fresh(key):
+    return np.random.Generator(np.random.Philox(key=np.uint64(key)))
+
+
+def _signal_plan(signal, n_cols):
+    """A pdd-tdqd plan (noise scale 1) whose noiseless (X, Y) rows are signal."""
+    signal = np.asarray(signal, dtype=float)
+    plan = plan_acquisition(Protocol.PDD_TDQD, tone(), P, len(signal), 2, 150e-9,
+                            n_batches=n_cols)
+    return replace(plan, signal=signal)
+
+
+def _noisy_signal_oracle(s_true, m, rng, sigma_scale=1.0):
+    """The readout draw of one seed before seeds were drawn in batches: one
+    draw per cell of s_true."""
+    if m.noise_mode == "none":
+        return np.array(s_true, dtype=float)
+    if m.noise_mode == "gaussian":
+        sigma = sigma_scale * quadrature_noise_std(m, P)
+        return sigma * rng.standard_normal(s_true.shape) + s_true
+    c, n_b = P.contrast_C, m.photons_per_shot_bright
+    mu = m.shots_R * n_b * (1.0 - c / 2.0 + (c / 2.0) * s_true)
+    counts = rng.poisson(mu, s_true.shape)
+    return (counts / m.shots_R - n_b * (1.0 - c / 2.0)) * 2.0 / (c * n_b)
+
+
+def _acquire_oracle(plan, m, key):
+    """The estimates of one seed drawn on its own from a fresh Philox(key=key)."""
+    scale = 0.5 if plan.kind is Protocol.RAMSEY_SQL and m.noise_mode == "gaussian" else 1.0
+    s_true = np.broadcast_to(plan.signal[:, None], (len(plan.signal), plan.n_cols, 2))
+    noisy = _noisy_signal_oracle(s_true, m, _fresh(key), scale)
+    x, y = noisy[..., 0], noisy[..., 1]
+    cos_hat, sin_hat = (y, x) if plan.kind is Protocol.TDQD else (x, y)
+    return np.arctan2(sin_hat, cos_hat) / plan.gain
 
 
 class TestReadoutModel:
@@ -80,7 +119,7 @@ class TestReadoutModel:
     def test_none_mode_is_noiseless(self):
         m = ReadoutModel(noise_mode="none")
         assert quadrature_noise_std(m, P) == 0.0
-        assert _noisy_signal(0.37, m, P, np.random.default_rng(0)) == 0.37
+        assert (_noisy_readout(_signal_plan([[0.37, 0.37]], 3), m, [0, 1]) == 0.37).all()
 
 
 class TestSimulateReadout:
@@ -89,25 +128,27 @@ class TestSimulateReadout:
     @pytest.mark.parametrize("mode", ["gaussian", "poisson"])
     def test_unbiased_with_correct_variance(self, mode):
         m = ReadoutModel(noise_mode=mode, seed=7)
-        rng = np.random.default_rng(7)
         s_true = 0.3
-        draws = _noisy_signal(np.full(4000, s_true), m, P, rng)
+        draws = _noisy_readout(_signal_plan(np.full((1000, 2), s_true), 2), m, [7]).ravel()
+        assert draws.size == 4000
         sigma = quadrature_noise_std(m, P)
         assert draws.mean() == pytest.approx(s_true, abs=4 * sigma / math.sqrt(4000))
         assert draws.std(ddof=1) == pytest.approx(sigma, rel=0.1)
 
     @pytest.mark.parametrize("mode", ["gaussian", "poisson", "none"])
     def test_shape_draws_as_the_broadcast_signal(self, mode):
-        # the draw kernel passes an (n1, 1, 2) signal and the (n1, n_cols, 2)
-        # output shape; it must give the bits of drawing on the broadcast signal
+        # the kernel draws each key's (n1, n_cols, 2) cells around the (n1, 1, 2)
+        # signal into one stack; each slice must give the bits of drawing that
+        # key alone on the broadcast signal
         m = ReadoutModel(noise_mode=mode)
-        s_true = np.random.default_rng(1).uniform(-1, 1, (5, 1, 2))
-        shape = (5, 7, 2)
-        drawn = _noisy_signal(s_true, m, P, np.random.default_rng(3), shape=shape)
-        broadcast = _noisy_signal(np.broadcast_to(s_true, shape), m, P,
-                                  np.random.default_rng(3))
-        assert drawn.shape == shape
-        assert drawn.tobytes() == broadcast.tobytes()
+        s_true = np.random.default_rng(1).uniform(-1, 1, (5, 2))
+        keys = [3, 0, 2**64 - 1]
+        drawn = _noisy_readout(_signal_plan(s_true, 7), m, keys)
+        assert drawn.shape == (3, 5, 7, 2)
+        for s, key in enumerate(keys):
+            broadcast = _noisy_signal_oracle(np.broadcast_to(s_true[:, None], (5, 7, 2)), m,
+                                             _fresh(key))
+            assert drawn[s].tobytes() == broadcast.tobytes()
 
     def test_poisson_snr_matches_reference(self):
         # C / sigma at the default shots equals the quoted SNR of 50
@@ -388,6 +429,22 @@ class TestPlannedAcquisition:
             _same_ensemble(acquire_planned(plan, m),
                            acquire(kind, w, P, m, n1, n2, 150e-9, **kw))
 
+    @pytest.mark.parametrize("noise_mode", ["gaussian", "poisson", "none"])
+    @pytest.mark.parametrize("kind, n1, n2, kw", CASES)
+    def test_batched_kernel_equals_fresh_philox_per_key(self, kind, n1, n2, kw, noise_mode):
+        # one call draws a stack of keys; each slice is that key's own draw,
+        # and acquire_planned is the one-key stack of m.seed
+        plan = plan_acquisition(kind, tone(0.2e-6), P, n1, n2, 150e-9, **kw)
+        m = ReadoutModel(noise_mode=noise_mode)
+        keys = [0, 5, 2**63 + 1, 2**64 - 1]
+        stack = _acquire(plan, m, keys)
+        assert stack.shape == (len(keys), n1, plan.n_cols)
+        for s, key in enumerate(keys):
+            want = _acquire_oracle(plan, m, key)
+            assert stack[s].tobytes() == want.tobytes()
+            assert acquire_planned(plan, replace(m, seed=key)).estimates.tobytes() == \
+                want.tobytes()
+
     def test_signal_is_read_only(self):
         plan = plan_acquisition(Protocol.PDD_TDQD, tone(), P, 4, 6, 150e-9)
         assert plan.signal.shape == (4, 2)
@@ -536,6 +593,35 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=f"line 5: phase {phi} is not finite"):
             read_ensemble_csv(path)
 
+    def test_out_of_range_phase_rejected(self, tmp_path):
+        # no atan2 estimate exceeds pi/gain = pi/10 at pdd-tdqd's n2 = 10
+        path = self._written(tmp_path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[4] = lines[4].rsplit(",", 1)[0] + ",1e200\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"line 5: phase 1e\+200 is outside "
+                                             r"\[-pi/gain, pi/gain\] = \[-0\.314"):
+            read_ensemble_csv(path)
+
+    @pytest.mark.parametrize("kind, n2", [(Protocol.RAMSEY_SQL, 3), (Protocol.TDQD, 4),
+                                          (Protocol.PDD_TDQD, 10)])
+    def test_phase_of_pi_over_gain_accepted(self, tmp_path, kind, n2):
+        # atan2 returns +-pi exactly, so +-pi/gain is an estimate; one ulp more is not
+        assert np.arctan2(0.0, -1.0) == math.pi and np.arctan2(-0.0, -1.0) == -math.pi
+        phi_max = np.arctan2(0.0, -1.0) / _phase_gain(kind, n2 // 2)
+        n_cols = n2 if kind is Protocol.RAMSEY_SQL else 2
+        estimates = np.zeros((2, n_cols))
+        estimates[0, 0], estimates[1, -1] = phi_max, -phi_max
+        ens = PhaseEnsemble(n1=2, n2=n2, estimates=estimates, grid=SampleGrid(T_FIG4, 2),
+                            t_s=150e-9, protocol=kind.value)
+        path = tmp_path / "ens.csv"
+        write_ensemble_csv(ens, path, deterministic=True)
+        assert read_ensemble_csv(path).estimates.tobytes() == estimates.tobytes()
+        estimates[1, -1] = np.nextafter(-phi_max, -math.inf)
+        write_ensemble_csv(replace(ens, estimates=estimates), path, deterministic=True)
+        with pytest.raises(ValueError, match=f"line {2 * n_cols + 1}: .* is outside"):
+            read_ensemble_csv(path)
+
     def test_header_checked(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x,y\n1,2\n")
@@ -599,7 +685,7 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("key, value", [
         ("n1", None), ("n_cols", None), ("n2", None), ("period_T", None), ("t_s", None),
         ("protocol", None), ("n1", 0), ("n_cols", 3.0), ("n2", True), ("period_T", -1.0),
-        ("t_s", "1.5e-7"), ("protocol", "sql"),
+        ("t_s", "1.5e-7"), ("protocol", "sql"), ("n2", 9),
     ], ids=lambda v: repr(v))
     def test_sidecar_key_checked(self, tmp_path, key, value):
         path = self._written(tmp_path)
@@ -631,6 +717,17 @@ class TestCsvRoundTrip:
         _csv_writer_oracle(ens, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    @pytest.mark.parametrize("n_cols", [7, 4100])
+    def test_bytes_match_fstring_writer_oracle_on_edge_floats(self, tmp_path, n_cols):
+        edge = [-0.0, 5e-324, 1e16, 1e-5, 0.1, math.pi, -math.pi, 1e308, -1e308,
+                2.2250738585072014e-308]
+        estimates = np.resize(edge, (3, n_cols))
+        ens = PhaseEnsemble(n1=3, n2=2, estimates=estimates, grid=SampleGrid(T_FIG4, 3),
+                            t_s=150e-9, protocol="pdd-tdqd")
+        write_ensemble_csv(ens, tmp_path / "new.csv", deterministic=True)
+        _fstring_writer_oracle(ens, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
     def test_line_numbers_past_the_first_block(self, tmp_path):
         ens = acquire(Protocol.PDD_TDQD, tone(), P, ReadoutModel(seed=6), n1=2, n2=10,
                       t_s=150e-9, n_batches=6000)
@@ -642,9 +739,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="line 9001"):
             read_ensemble_csv(path)
 
+    # any finite float the reader accepts: |phi| <= pi/2, the atan2 range at
+    # pdd-tdqd's phase gain 2 for n2 = 2
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
-                      elements=st.floats(allow_nan=False, allow_infinity=False)))
-    @example(np.array([[-0.0, 5e-324], [1e308, -1e308], [2.2250738585072014e-308, 0.1]]))
+                      elements=st.floats(-math.pi / 2, math.pi / 2)))
+    @example(np.array([[-0.0, 5e-324], [math.pi / 2, -math.pi / 2],
+                       [2.2250738585072014e-308, 0.1]]))
     @settings(max_examples=60, deadline=None)
     def test_round_trip_bit_exact_for_any_finite_float(self, estimates):
         n1, n_cols = estimates.shape
@@ -654,6 +754,18 @@ class TestCsvRoundTrip:
             path = Path(tmp) / "ens.csv"
             write_ensemble_csv(ens, path, deterministic=True)
             assert read_ensemble_csv(path).estimates.tobytes() == estimates.tobytes()
+
+
+def _fstring_writer_oracle(e, path):
+    """The f-string block formatter that wrote ensemble CSV rows before the joins."""
+    with open(path, "w", newline="") as fh:
+        fh.write("i,j,t_i_seconds,phi_ij_rad\n")
+        for i, (t, row) in enumerate(zip(e.grid.instants, e.estimates), start=1):
+            t_i = repr(t)
+            for j0 in range(0, len(row), 4096):
+                block = row[j0:j0 + 4096].tolist()
+                fh.write("".join([f"{i},{j},{t_i},{phi!r}\n"
+                                  for j, phi in enumerate(block, start=j0 + 1)]))
 
 
 def _csv_writer_oracle(e, path):
