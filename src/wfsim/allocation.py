@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .estimator import recon_error_sq
-from .measurement import ReadoutModel, _acquire, _seed_keys, plan_acquisition
+from .measurement import ReadoutModel, _acquire, plan_acquisition
 from .sensor import Protocol, SensorParams
 from .waveform import WaveformSpec
 
@@ -234,17 +234,18 @@ _CHUNK_DRAWS = 2**15
 
 def _monte_carlo(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
                  n1: int, n2: int, t_s: float, key: int, seeds: int) -> np.ndarray:
-    """(seeds, n1) per-bin means, row s those of the ensemble drawn with the
-    readout model with_seed(m, key, s).  One plan serves every seed, every
-    seed's key comes from one vectorised pass, and the seeds are drawn in
-    chunks of about _CHUNK_DRAWS draws, each seed from its own key, so each
-    row equals its own fresh acquisition bit for bit."""
+    """(seeds, n1) per-bin means, row s those of the ensemble drawn by
+    Philox(SeedSequence([m.seed, key])).jumped(s).  One plan and one Philox key
+    serve every seed, and seed s is counter s under that key (Salmon et al.,
+    SC'11), so the seeds are drawn in chunks of about _CHUNK_DRAWS draws and
+    each row still equals its own fresh draw bit for bit."""
     plan = plan_acquisition(kind, w, p, n1, n2, t_s)
-    keys = _seed_keys(m.seed, key, np.arange(seeds)).tolist()
+    philox_key = np.random.SeedSequence([m.seed, key]).generate_state(2, np.uint64).tolist()
     chunk = max(1, _CHUNK_DRAWS // (plan.signal.size * plan.n_cols))
     phi_bars = np.empty((seeds, n1))
     for s0 in range(0, seeds, chunk):
-        phi_bars[s0:s0 + chunk] = _acquire(plan, m, keys[s0:s0 + chunk]).mean(axis=-1)
+        counters = range(s0, min(s0 + chunk, seeds))
+        phi_bars[s0:s0 + chunk] = _acquire(plan, m, philox_key, counters).mean(axis=-1)
     # a non-finite estimate makes its bin mean non-finite: the ensemble's check
     if not np.isfinite(phi_bars).all():
         raise ValueError("all phase estimates must be finite")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measurement import PhaseEnsemble
+from .measurement import PhaseEnsemble, _estimate_range
 from .sensor import SensorParams
 from .waveform import SampleGrid, WaveformSpec, evaluate, hold_error, integrate
 
@@ -104,6 +104,14 @@ def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> E
             f"period {e.grid.period_T:g}"
         )
     est = e.estimates
+    # no atan2 estimate lies beyond pi/gain; a larger one would overflow the
+    # squares below
+    phi_max, in_range = _estimate_range(e.protocol, e.n2)
+    bad = ~(np.abs(est) <= phi_max)
+    if bad.any():
+        i, j = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"estimate {float(est[i, j])!r} in bin {i + 1}, column {j + 1} is "
+                         f"outside {in_range}")
     phi_bar = reconstruct(e)
     per_bin_stat = ((est - phi_bar[:, None]) ** 2).mean(axis=1)
     delta_stat_sq = float(per_bin_stat.mean())

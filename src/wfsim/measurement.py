@@ -259,27 +259,27 @@ def _philox() -> np.random.Generator:
 _ZEROS = (0, 0, 0, 0)
 
 
-def _rekey(rng: np.random.Generator, key: int) -> np.random.Generator:
-    """Reset rng's Philox to the state of a fresh Philox(key=key): counter 0,
-    key [key, 0], empty buffer, no cached uint32.  Its draws then equal the
-    fresh generator's bit for bit; the (i, j, quadrature) cells map onto
+def _rekey(rng: np.random.Generator, key, counter: int = 0) -> np.random.Generator:
+    """Reset rng's Philox to the state of a fresh Philox(key=key).jumped(counter):
+    counter (0, 0, counter, 0), empty buffer, no cached uint32.  Its draws then
+    equal that generator's bit for bit; the (i, j, quadrature) cells map onto
     consecutive counter values, so output is scheduling-independent."""
     rng.bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": _ZEROS, "key": (key, 0)},
+                               "state": {"counter": (0, 0, counter, 0), "key": key},
                                "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
 
 
-def _noisy_readout(plan: AcquisitionPlan, m: ReadoutModel, keys) -> np.ndarray:
+def _noisy_readout(plan: AcquisitionPlan, m: ReadoutModel, key, counters) -> np.ndarray:
     """plan.n_cols noisy (X, Y) readouts of each noiseless signal row with m's
-    noise, for each Philox key: a (len(keys), n1, n_cols, 2) stack.
+    noise, for each Philox counter under key: a (len(counters), n1, n_cols, 2) stack.
 
-    Each key's raw noise is drawn by a freshly keyed generator into its own
-    slice of the stack; the noise transform then runs once over the stack, so
-    slice s equals the draw of key s alone."""
+    Each counter's raw noise is drawn by a freshly re-keyed generator into its
+    own slice of the stack; the noise transform then runs once over the stack,
+    so slice s equals the draw of counter s alone."""
     p, signal = plan.p, plan.signal[:, None]
     shape = (len(plan.signal), plan.n_cols, 2)
-    noisy = np.empty((len(keys), *shape))
+    noisy = np.empty((len(counters), *shape))
     if m.noise_mode == "none":
         noisy[...] = signal
         return noisy
@@ -289,8 +289,8 @@ def _noisy_readout(plan: AcquisitionPlan, m: ReadoutModel, keys) -> np.ndarray:
         # calibration is anchored to per-resource noise in the differential
         # convention, so the doubled estimate gets half the quadrature noise
         scale = 0.5 if plan.kind is Protocol.RAMSEY_SQL else 1.0
-        for s, key in enumerate(keys):
-            _rekey(rng, key).standard_normal(out=noisy[s])
+        for s, counter in enumerate(counters):
+            _rekey(rng, key, counter).standard_normal(out=noisy[s])
         noisy *= scale * quadrature_noise_std(m, p)
         noisy += signal
         return noisy
@@ -299,8 +299,8 @@ def _noisy_readout(plan: AcquisitionPlan, m: ReadoutModel, keys) -> np.ndarray:
     c = p.contrast_C
     n_b = m.photons_per_shot_bright
     mu = m.shots_R * n_b * (1.0 - c / 2.0 + (c / 2.0) * signal)
-    for s, key in enumerate(keys):
-        noisy[s] = _rekey(rng, key).poisson(mu, shape)
+    for s, counter in enumerate(counters):
+        noisy[s] = _rekey(rng, key, counter).poisson(mu, shape)
     # (counts / shots_R - n_b (1 - c/2)) * 2.0 / (c n_b), one rounding at a time
     noisy /= m.shots_R
     noisy -= n_b * (1.0 - c / 2.0)
@@ -309,11 +309,11 @@ def _noisy_readout(plan: AcquisitionPlan, m: ReadoutModel, keys) -> np.ndarray:
     return noisy
 
 
-def _acquire(plan: AcquisitionPlan, m: ReadoutModel, keys) -> np.ndarray:
-    """The draw kernel: the noisy readouts of each Philox key, inverted by atan2
-    back to the differential convention in one pass over the whole stack: a
-    (len(keys), n1, n_cols) stack of phase estimates."""
-    noisy = _noisy_readout(plan, m, keys)
+def _acquire(plan: AcquisitionPlan, m: ReadoutModel, key, counters) -> np.ndarray:
+    """The draw kernel: the noisy readouts of each Philox counter under key,
+    inverted by atan2 back to the differential convention in one pass over the
+    whole stack: a (len(counters), n1, n_cols) stack of phase estimates."""
+    noisy = _noisy_readout(plan, m, key, counters)
     cos_hat, sin_hat = _quadratures(plan.kind, noisy[..., 0], noisy[..., 1])
     phi = np.arctan2(sin_hat, cos_hat)
     phi /= plan.gain
@@ -321,9 +321,11 @@ def _acquire(plan: AcquisitionPlan, m: ReadoutModel, keys) -> np.ndarray:
 
 
 def acquire_planned(plan: AcquisitionPlan, m: ReadoutModel) -> PhaseEnsemble:
-    """The ensemble of :func:`acquire` for a plan, drawn with m's noise and seed."""
+    """The ensemble of :func:`acquire` for a plan, drawn with m's noise and
+    seed: Philox key (m.seed, 0), counter 0."""
     meta = {"seed": m.seed, "noise_mode": m.noise_mode, "shots_R": m.shots_R, **plan.meta}
-    return PhaseEnsemble(n1=plan.grid.n1, n2=plan.n2, estimates=_acquire(plan, m, [m.seed])[0],
+    estimates = _acquire(plan, m, (m.seed, 0), [0])[0]
+    return PhaseEnsemble(n1=plan.grid.n1, n2=plan.n2, estimates=estimates,
                          grid=plan.grid, t_s=plan.t_s, protocol=plan.kind.value, meta=meta)
 
 
@@ -410,6 +412,15 @@ _SIDECAR_KEYS = {
 _OPTIONAL_SIDECAR_KEYS = {"t_i"}  # written only for a single-instant ensemble
 
 
+def _estimate_range(protocol: str, n2: int) -> tuple[float, str]:
+    """pi / gain, the largest |phi| of an atan2 estimate of protocol at n2
+    resources (atan2 returns [-pi, pi]; the phase gain at k = n2 // 2), and
+    that range in words for an error message."""
+    phi_max = np.pi / _phase_gain(Protocol(protocol), n2 // 2)
+    return phi_max, (f"[-pi/gain, pi/gain] = [{-phi_max!r}, {phi_max!r}], the range of an "
+                     f"atan2 estimate of {protocol} at n2 = {n2}")
+
+
 def _read_sidecar(path: str) -> dict:
     with open(path) as fh:
         meta = json.load(fh)
@@ -442,8 +453,7 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
     path = str(path)
     meta = _read_sidecar(path + ".meta.json")
     n1, n_cols = meta["n1"], meta["n_cols"]
-    # atan2 returns [-pi, pi], so no estimate exceeds pi over its phase gain
-    phi_max = np.pi / _phase_gain(Protocol(meta["protocol"]), meta["n2"] // 2)
+    phi_max, in_range = _estimate_range(meta["protocol"], meta["n2"])
     grid = SampleGrid(meta["period_T"], n1)
     instants = np.array(grid.instants)
     # n1 * n_cols in-range rows that repeat no cell fill every cell
@@ -480,9 +490,7 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
             if bad.any():
                 k = int(np.argmax(bad))
                 x = float(phi[k])
-                why = (f"is outside [-pi/gain, pi/gain] = [{-phi_max!r}, {phi_max!r}], the "
-                       f"range of an atan2 estimate of {meta['protocol']} at n2 = {meta['n2']}"
-                       if math.isfinite(x) else "is not finite")
+                why = f"is outside {in_range}" if math.isfinite(x) else "is not finite"
                 raise ValueError(f"ensemble CSV line {first_line + k}: phase {x!r} {why}")
             cells = np.ravel_multi_index((i, j), (n1, n_cols))
             if repeat is None and (k := _first_repeat(cells, filled)) is not None:
@@ -503,78 +511,8 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
                          t_s=meta["t_s"], protocol=meta["protocol"], meta=meta)
 
 
-# numpy SeedSequence's pool size and hash constants (numpy/random/bit_generator.pyx)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_MASK32 = 0xFFFFFFFF
-_XSHIFT = np.uint32(16)
-
-
-def _words(n: int) -> list[np.ndarray]:
-    """A non-negative integer as SeedSequence reads it: little-endian uint32
-    words, one word for 0, each a one-element array."""
-    if n < 0:
-        raise ValueError(f"entropy must be non-negative, got {n}")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return [np.array([w], dtype=np.uint32) for w in words]
-
-
-def _hasher(const: int, mult: int):
-    """SeedSequence's hashmix, which steps its own hash constant per call."""
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> _XSHIFT)
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = _MIX_MULT_L * x - _MIX_MULT_R * y
-    return result ^ (result >> _XSHIFT)
-
-
-def _seed_keys(seed: int, *entropy) -> np.ndarray:
-    """``SeedSequence([seed, *entropy]).generate_state(1, np.uint64)`` for each
-    value s of the last argument, in one vectorised pass: an array of keys.
-
-    The last argument is an integer or an array of integers in [0, 2**32),
-    each one uint32 word.  The mixing is SeedSequence's in uint32 array
-    arithmetic: its hash constants step the same way whatever the data, so
-    every step vectorises over s.  Entropy of more words than the pool (a
-    seed and an N of 2**32 or more) is mixed in after the pool, as there.
-    """
-    *head, last = (seed, *entropy)
-    words = [w for x in head for w in _words(int(x))]
-    if np.ndim(last) == 0:
-        words += _words(int(last))
-    else:
-        last = np.asarray(last)
-        if last.size and not (0 <= last.min() and last.max() <= _MASK32):
-            raise ValueError("the last entropy word must be in [0, 2**32)")
-        words.append(last.astype(np.uint32))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    zero = np.zeros(1, dtype=np.uint32)
-    pool = [hashmix(words[i] if i < len(words) else zero) for i in range(_POOL_SIZE)]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = _mix(pool[i_dst], hashmix(pool[i_src]))
-    for word in words[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = _mix(pool[i_dst], hashmix(word))
-    # generate_state(1, np.uint64): two hashed pool words, low word first
-    out = _hasher(_INIT_B, _MULT_B)
-    lo, hi = (out(word).astype(np.uint64) for word in pool[:2])
-    return lo | (hi << np.uint64(32))
-
-
 def with_seed(m: ReadoutModel, *entropy) -> ReadoutModel:
     """Derive a child readout model with the sub-seed
     ``SeedSequence([m.seed, *entropy]).generate_state(1, np.uint64)[0]``."""
-    return replace(m, seed=int(_seed_keys(m.seed, *entropy)[0]))
+    return replace(m, seed=int(np.random.SeedSequence([m.seed, *entropy])
+                               .generate_state(1, np.uint64)[0]))

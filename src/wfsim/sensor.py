@@ -189,8 +189,9 @@ def signal(w: WaveformSpec, p: SensorParams, c: ProtocolConfig, readout_quadratu
 def sensitivity(p: SensorParams, c: ProtocolConfig, sigma_read: float | None = None) -> float:
     """Sensitivity B_min * sqrt(t_cycle) in T / sqrt(Hz).
 
-    B_min = sigma_read / |dS/dB| with |dS/dB| = envelope * 2k * 2 gamma_e
-    t_s * C, and t_cycle = 2k (T + t_s).  sigma_read defaults
+    B_min = sigma_read / |dS/dB| with |dS/dB| = envelope * gain * 2 gamma_e
+    t_s * C, where gain is the phase gain (2k, or 1/2 for one Ramsey pass),
+    and t_cycle = n2 (T + t_s).  sigma_read defaults
     to the per-cycle photon shot noise of the default readout model.
     Returns inf when the envelope has fully decayed.
     """
@@ -198,7 +199,7 @@ def sensitivity(p: SensorParams, c: ProtocolConfig, sigma_read: float | None = N
         from .measurement import ReadoutModel, photon_shot_noise
         sigma_read = photon_shot_noise(ReadoutModel(), p)
     env = envelope(c.kind, p, c.k, c.t_s, c.T)
-    dSdB = env * c.n2 * 2.0 * p.gamma_e * c.t_s * p.contrast_C
+    dSdB = env * _phase_gain(c.kind, c.k) * 2.0 * p.gamma_e * c.t_s * p.contrast_C
     t_cycle = c.n2 * (c.T + c.t_s)
     if dSdB <= 0 or not math.isfinite(dSdB) or env < 1e-300:
         return math.inf

@@ -22,20 +22,20 @@ from wfsim import (
     SampleGrid,
     SensorParams,
     WfsimError,
-    acquire,
     calibrated_tone,
     continuous_optimum,
     fit_loglog,
     optimize_exact,
     paper_rule_sql,
+    plan_acquisition,
     recon_error_sq,
-    reconstruct,
     run_scaling_experiment,
     statistical_error_curve,
     validate_paper_tables,
-    with_seed,
 )
 from wfsim import allocation
+
+from test_measurement import _acquire_oracle
 
 P = SensorParams()
 
@@ -63,9 +63,9 @@ class TestSeedChunks:
     def chunk_lengths(monkeypatch):
         lengths, draw = [], allocation._acquire
 
-        def spy(plan, m, keys):
-            lengths.append(len(keys))
-            return draw(plan, m, keys)
+        def spy(plan, m, key, counters):
+            lengths.append(len(counters))
+            return draw(plan, m, key, counters)
         monkeypatch.setattr(allocation, "_acquire", spy)
         return lengths
 
@@ -110,9 +110,11 @@ class TestSeedChunks:
 
 
 def _seed_phi_bar(scheme, w, p, m, n1, n2, key, s):
-    # one full acquisition per (budget, seed), as before acquisition was
-    # planned once per budget
-    return reconstruct(acquire(KINDS[scheme], w, p, with_seed(m, key, s), n1, n2, 150e-9))
+    # one full acquisition per (budget, seed), seed s drawn on its own by a
+    # fresh Philox(SeedSequence([seed, key])) jumped s times
+    plan = plan_acquisition(KINDS[scheme], w, p, n1, n2, 150e-9)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence([m.seed, key])).jumped(s))
+    return _acquire_oracle(plan, m, rng).mean(axis=1)
 
 
 def _scaling_oracle(scheme, N_list, w, p, m, seeds, decoherence=True, allocator="exact"):
@@ -385,6 +387,25 @@ class TestScalingExperiment:
         assert rows[0]["n2"] % 2 == 0
         assert rows[0]["n1"] * rows[0]["n2"] == 234
 
+    def test_odd_n2_optimum_moves_to_the_best_even_split(self):
+        # the model optimum of N = 500 is (20, 25); pdd-tdqd cannot run n2 = 25
+        alloc = optimize_exact(HQL_MODEL, 500)
+        assert (alloc.n1, alloc.n2) == (20, 25)
+        _, n1, n2 = min((HQL_MODEL.predicted_delta_sq(a, 500 // a), a, 500 // a)
+                        for a in range(1, 501) if 500 % a == 0 and (500 // a) % 2 == 0)
+        assert (n1, n2) == (25, 20)
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        rows, _ = run_scaling_experiment("hql", [500], w, P, ReadoutModel(seed=0), seeds=3,
+                                         decoherence=False)
+        assert (rows[0]["n1"], rows[0]["n2"]) == (25, 20)
+
+    def test_odd_budget_without_even_split_raises(self):
+        # 561 = 3 * 11 * 17 has no even divisor
+        w = calibrated_tone(P, 150e-9, 9.6e-6)
+        with pytest.raises(ValueError, match="N=561 admits no even-n2 allocation"):
+            run_scaling_experiment("hql", [140, 561, 2240], w, P, ReadoutModel(), seeds=2,
+                                   decoherence=False)
+
     def test_rejects_unknown_scheme(self):
         w = calibrated_tone(P, 150e-9, 9.6e-6)
         with pytest.raises(ValueError):
@@ -490,7 +511,8 @@ class TestPerSeedOracleErrors:
             PhaseEnsemble(n1=1, n2=1, estimates=[[math.nan]], grid=SampleGrid(1.0, 1), t_s=1e-7,
                           protocol="ramsey-sql")
         draw, calls = allocation._acquire, itertools.count()
-        monkeypatch.setattr(allocation, "_acquire", lambda plan, m, keys: draw(plan, m, keys)
+        monkeypatch.setattr(allocation, "_acquire",
+                            lambda plan, m, key, counters: draw(plan, m, key, counters)
                             * (math.nan if next(calls) == 2 else 1.0))
         with pytest.raises(ValueError) as got:
             run_scaling_experiment("sql", [4, 32, 60], w, P, ReadoutModel(seed=1), seeds=4)

@@ -154,6 +154,20 @@ class TestExitCodes:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, message", [
+        (None, "cannot read config"),
+        ("waveform: [1, 2\n", "config parse error"),
+        ("waveform:\n  period: 9.6e-6\n  csv: table.csv\n", "at least two samples"),
+    ], ids=["no-such-file", "malformed-yaml", "one-row-table"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch, config, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "table.csv").write_text("0,1e-7\n")
+        if config is not None:
+            (tmp_path / "exp.yaml").write_text(config)
+        assert main(["simulate", "--config", "exp.yaml", "--out", "run"]) == 2
+        assert re.search(rf"^config error: .*{message}", capsys.readouterr().err, re.M)
+        assert not (tmp_path / "run").exists()
+
     def test_missing_waveform_exits_2(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"
         path.write_text("sensor:\n  t2: 0.66e-3\n")
@@ -452,6 +466,15 @@ class TestReconstruct:
                      "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == 1
         assert re.search(r"^error: .*'n_cols'", capsys.readouterr().err, re.M)
 
+    def test_sidecar_that_is_a_list_exits_1(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "run"
+        main(["simulate", "--config", str(cfg_path), "--out", str(out), "--seeds", "3"])
+        (out / "ensemble.csv.meta.json").write_text("[1, 2]\n")
+        assert main(["reconstruct", "--config", str(cfg_path),
+                     "--ensemble", str(out / "ensemble.csv"), "--out", str(out)]) == 1
+        assert re.search(r"^error: .*expected a JSON object, got \[1, 2\]$",
+                         capsys.readouterr().err, re.M)
+
     def test_sidecar_non_numeric_t_i_exits_1(self, tmp_path, capsys):
         path = tmp_path / "exp.yaml"
         path.write_text(GOOD_CONFIG.replace("grid:\n  n1: 8\n", ""))
@@ -506,6 +529,11 @@ class TestAllocate:
         assert main(["allocate", "--scheme", "sql", "--n", n, "--paper-rule"]) == 1
         assert re.search(rf"^error: N must be >= 1, got {n}$", capsys.readouterr().err, re.M)
 
+    @pytest.mark.parametrize("flags", [[], ["--budget"]], ids=["exact", "budget"])
+    def test_rejects_n_below_1(self, capsys, flags):
+        assert main(["allocate", "--scheme", "hql", "--n", "0", *flags]) == 1
+        assert re.search(r"^error: N must be >= 1, got 0$", capsys.readouterr().err, re.M)
+
     def test_paper_rule_requires_sql(self, capsys):
         assert main(["allocate", "--scheme", "hql", "--n", "560", "--paper-rule"]) == 2
 
@@ -559,6 +587,27 @@ class TestScaling:
         assert main(["scaling", "--scheme", "hql", "--config", str(path), *flags,
                      "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_odd_n2_budget_moves_to_an_even_split(self, tmp_path, capsys):
+        # allocate prints the model optimum (20, 25); pdd-tdqd runs (25, 20)
+        assert main(["allocate", "--scheme", "hql", "--n", "500"]) == 0
+        assert capsys.readouterr().out == "n1=20,n2=25\n"
+        path = tmp_path / "exp.yaml"
+        path.write_text("experiment:\n  budgets: [140, 500, 2240]\n  seeds: 2\n")
+        assert main(["scaling", "--scheme", "hql", "--config", str(path),
+                     "--no-decoherence", "--out", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "scaling_hql.csv", newline="") as fh:
+            assert [(r["N"], r["n1"], r["n2"]) for r in csv.DictReader(fh)] == [
+                ("140", "10", "14"), ("500", "25", "20"), ("2240", "40", "56")]
+
+    def test_budget_without_even_n2_split_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "exp.yaml"
+        path.write_text("experiment:\n  budgets: [140, 561, 2240]\n  seeds: 2\n")
+        out = tmp_path / "run"
+        assert main(["scaling", "--scheme", "hql", "--config", str(path),
+                     "--no-decoherence", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: N=561 admits no even-n2 allocation\n"
         assert not out.exists()
 
     def test_info_log_leaves_stdout_and_files_unchanged(self, tmp_path):

@@ -1,6 +1,8 @@
 import bisect
 import dataclasses
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +132,26 @@ class TestDecomposition:
         r1 = decompose_error(shifted, truth, P)
         assert r1.delta_stat_sq == pytest.approx(r0.delta_stat_sq, rel=1e-12)
         assert r1.delta_det_sq != pytest.approx(r0.delta_det_sq, rel=1e-6)
+
+    @pytest.mark.parametrize("protocol, n2, gain", [("ramsey-sql", 3, 0.5), ("tdqd", 6, 6),
+                                                    ("pdd-tdqd", 8, 8)])
+    def test_estimates_beyond_pi_over_gain_rejected_before_squaring(self, protocol, n2, gain):
+        # no atan2 estimate exceeds pi/gain; 1e200 used to overflow the square
+        # of est - phi_bar with a RuntimeWarning before the hold-error check
+        grid, phi_max = SampleGrid(T_FIG4, 2), math.pi / gain
+        edge = PhaseEnsemble(n1=2, n2=n2, estimates=[[phi_max, -phi_max, 0.0]] * 2, grid=grid,
+                             t_s=T_S, protocol=protocol)
+        decompose_error(edge, tone(), P)
+        for bad in (1e200, -1e200, float(np.nextafter(phi_max, np.inf))):
+            est = np.zeros((2, 3))
+            est[1, 2] = bad
+            ens = PhaseEnsemble(n1=2, n2=n2, estimates=est, grid=grid, t_s=T_S,
+                                protocol=protocol)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=rf"^estimate {re.escape(repr(bad))} in bin "
+                                                     r"2, column 3 is outside \[-pi/gain"):
+                    decompose_error(ens, tone(), P)
 
     def test_period_mismatch_rejected(self):
         ens = synthetic_ensemble(tone(), 4, 4, seed=0)

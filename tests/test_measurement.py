@@ -36,7 +36,6 @@ from wfsim.measurement import (
     _noisy_readout,
     _philox,
     _rekey,
-    _seed_keys,
     quadrature_noise_std,
 )
 from wfsim.sensor import _phase_gain
@@ -51,8 +50,10 @@ def tone(amplitude=1e-6, T=T_FIG4):
     return WaveformSpec.harmonic(T, amplitude)
 
 
-def _fresh(key):
-    return np.random.Generator(np.random.Philox(key=np.uint64(key)))
+def _fresh(key, counter=0):
+    """A fresh generator on Philox(key=key) with counter (0, 0, counter, 0)."""
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64))
+                               .jumped(counter))
 
 
 def _signal_plan(signal, n_cols):
@@ -77,11 +78,11 @@ def _noisy_signal_oracle(s_true, m, rng, sigma_scale=1.0):
     return (counts / m.shots_R - n_b * (1.0 - c / 2.0)) * 2.0 / (c * n_b)
 
 
-def _acquire_oracle(plan, m, key):
-    """The estimates of one seed drawn on its own from a fresh Philox(key=key)."""
+def _acquire_oracle(plan, m, rng):
+    """The estimates of one seed drawn on its own from the fresh generator rng."""
     scale = 0.5 if plan.kind is Protocol.RAMSEY_SQL and m.noise_mode == "gaussian" else 1.0
     s_true = np.broadcast_to(plan.signal[:, None], (len(plan.signal), plan.n_cols, 2))
-    noisy = _noisy_signal_oracle(s_true, m, _fresh(key), scale)
+    noisy = _noisy_signal_oracle(s_true, m, rng, scale)
     x, y = noisy[..., 0], noisy[..., 1]
     cos_hat, sin_hat = (y, x) if plan.kind is Protocol.TDQD else (x, y)
     return np.arctan2(sin_hat, cos_hat) / plan.gain
@@ -119,7 +120,7 @@ class TestReadoutModel:
     def test_none_mode_is_noiseless(self):
         m = ReadoutModel(noise_mode="none")
         assert quadrature_noise_std(m, P) == 0.0
-        assert (_noisy_readout(_signal_plan([[0.37, 0.37]], 3), m, [0, 1]) == 0.37).all()
+        assert (_noisy_readout(_signal_plan([[0.37, 0.37]], 3), m, (0, 0), [0, 1]) == 0.37).all()
 
 
 class TestSimulateReadout:
@@ -129,7 +130,8 @@ class TestSimulateReadout:
     def test_unbiased_with_correct_variance(self, mode):
         m = ReadoutModel(noise_mode=mode, seed=7)
         s_true = 0.3
-        draws = _noisy_readout(_signal_plan(np.full((1000, 2), s_true), 2), m, [7]).ravel()
+        draws = _noisy_readout(_signal_plan(np.full((1000, 2), s_true), 2), m, (7, 0),
+                               [0]).ravel()
         assert draws.size == 4000
         sigma = quadrature_noise_std(m, P)
         assert draws.mean() == pytest.approx(s_true, abs=4 * sigma / math.sqrt(4000))
@@ -137,17 +139,17 @@ class TestSimulateReadout:
 
     @pytest.mark.parametrize("mode", ["gaussian", "poisson", "none"])
     def test_shape_draws_as_the_broadcast_signal(self, mode):
-        # the kernel draws each key's (n1, n_cols, 2) cells around the (n1, 1, 2)
-        # signal into one stack; each slice must give the bits of drawing that
-        # key alone on the broadcast signal
+        # the kernel draws each counter's (n1, n_cols, 2) cells around the
+        # (n1, 1, 2) signal into one stack; each slice must give the bits of
+        # drawing that counter alone on the broadcast signal
         m = ReadoutModel(noise_mode=mode)
         s_true = np.random.default_rng(1).uniform(-1, 1, (5, 2))
-        keys = [3, 0, 2**64 - 1]
-        drawn = _noisy_readout(_signal_plan(s_true, 7), m, keys)
+        key, counters = (3, 2**64 - 1), [3, 0, 2**64 - 1]
+        drawn = _noisy_readout(_signal_plan(s_true, 7), m, key, counters)
         assert drawn.shape == (3, 5, 7, 2)
-        for s, key in enumerate(keys):
+        for s, counter in enumerate(counters):
             broadcast = _noisy_signal_oracle(np.broadcast_to(s_true[:, None], (5, 7, 2)), m,
-                                             _fresh(key))
+                                             _fresh(key, counter))
             assert drawn[s].tobytes() == broadcast.tobytes()
 
     def test_poisson_snr_matches_reference(self):
@@ -431,19 +433,20 @@ class TestPlannedAcquisition:
 
     @pytest.mark.parametrize("noise_mode", ["gaussian", "poisson", "none"])
     @pytest.mark.parametrize("kind, n1, n2, kw", CASES)
-    def test_batched_kernel_equals_fresh_philox_per_key(self, kind, n1, n2, kw, noise_mode):
-        # one call draws a stack of keys; each slice is that key's own draw,
-        # and acquire_planned is the one-key stack of m.seed
+    def test_batched_kernel_equals_fresh_philox_per_counter(self, kind, n1, n2, kw,
+                                                            noise_mode):
+        # one call draws a stack of counters under one key; each slice is that
+        # counter's own draw, and acquire_planned is counter 0 under (m.seed, 0)
         plan = plan_acquisition(kind, tone(0.2e-6), P, n1, n2, 150e-9, **kw)
         m = ReadoutModel(noise_mode=noise_mode)
-        keys = [0, 5, 2**63 + 1, 2**64 - 1]
-        stack = _acquire(plan, m, keys)
-        assert stack.shape == (len(keys), n1, plan.n_cols)
-        for s, key in enumerate(keys):
-            want = _acquire_oracle(plan, m, key)
-            assert stack[s].tobytes() == want.tobytes()
-            assert acquire_planned(plan, replace(m, seed=key)).estimates.tobytes() == \
-                want.tobytes()
+        key, counters = (2**63 + 1, 7), [0, 5, 2**63 + 1, 2**64 - 1]
+        stack = _acquire(plan, m, key, counters)
+        assert stack.shape == (len(counters), n1, plan.n_cols)
+        for s, counter in enumerate(counters):
+            assert stack[s].tobytes() == _acquire_oracle(plan, m, _fresh(key, counter)).tobytes()
+        for seed in (0, 5, 2**63 + 1, 2**64 - 1):
+            assert acquire_planned(plan, replace(m, seed=seed)).estimates.tobytes() == \
+                _acquire_oracle(plan, m, _fresh((seed, 0))).tobytes()
 
     def test_signal_is_read_only(self):
         plan = plan_acquisition(Protocol.PDD_TDQD, tone(), P, 4, 6, 150e-9)
@@ -477,18 +480,7 @@ def _seed_sequence_key(*entropy) -> int:
 
 
 class TestSeedKeys:
-    """The vectorised key rule equals SeedSequence, and a re-keyed Philox a fresh one."""
-
-    # seed and N of two and three words overflow the 4-word pool
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), N=st.integers(1, 2**70 - 1),
-           s=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=300))
-    @example(seed=2**64 - 1, N=2**70 - 1, s=[0, 1, 2**32 - 1])
-    @example(seed=0, N=1, s=list(range(300)))
-    def test_keys_equal_seed_sequence(self, seed, N, s):
-        got = _seed_keys(seed, N, np.array(s, dtype=np.uint64))
-        assert got.dtype == np.uint64
-        assert got.tolist() == [_seed_sequence_key(seed, N, x) for x in s]
+    """with_seed is SeedSequence, and a re-keyed Philox a fresh, jumped one."""
 
     @pytest.mark.parametrize("entropy", [(), (5,), (140, 3), (2**40, 2**33), (2**70, 0, 1)])
     def test_with_seed_equals_seed_sequence(self, entropy):
@@ -496,25 +488,26 @@ class TestSeedKeys:
             assert with_seed(ReadoutModel(seed=seed), *entropy).seed == \
                 _seed_sequence_key(seed, *entropy)
 
-    def test_rejects_negative_or_wide_words(self):
-        with pytest.raises(ValueError):
-            _seed_keys(1, -2, np.arange(3))
-        with pytest.raises(ValueError):
-            _seed_keys(1, 2, np.array([0, 2**32]))
-
     @pytest.mark.parametrize("draw", [
         lambda g: g.standard_normal((3, 5, 2)),
         lambda g: g.poisson([[0.5, 3.0], [40.0, 1e4]]),
     ], ids=["standard_normal", "poisson"])
     def test_rekeyed_draws_equal_fresh_philox(self, draw):
         rng = _philox()
-        for key in (0, 1, 2**63 + 5, 2**64 - 1):
-            # leave a part-used buffer, an advanced counter and a cached uint32 behind
+        for key in [(0, 0), (1, 2**64 - 1), (2**63 + 5, 3), (2**64 - 1, 2**64 - 1)]:
+            for counter in (0, 1, 2**32, 2**64 - 1):
+                # leave a part-used buffer, an advanced counter and a cached uint32 behind
+                draw(rng)
+                rng.integers(0, 7, size=3, dtype=np.uint32)
+                fresh = _fresh(key, counter)
+                assert np.array_equal(draw(_rekey(rng, key, counter)), draw(fresh))
+                assert rng.bit_generator.state["has_uint32"] == \
+                    fresh.bit_generator.state["has_uint32"]
+        # acquire_planned draws with key (seed, 0) and counter 0: Philox(key=seed)
+        for seed in (0, 1, 2**63 + 5, 2**64 - 1):
             draw(rng)
-            rng.integers(0, 7, size=3, dtype=np.uint32)
-            fresh = np.random.Generator(np.random.Philox(key=np.uint64(key)))
-            assert np.array_equal(draw(_rekey(rng, key)), draw(fresh))
-            assert rng.bit_generator.state["has_uint32"] == fresh.bit_generator.state["has_uint32"]
+            fresh = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+            assert np.array_equal(draw(_rekey(rng, (seed, 0))), draw(fresh))
 
 
 class TestCsvRoundTrip:

@@ -267,3 +267,11 @@ class TestSensitivity:
         dsdb = env * 8 * 2 * P.gamma_e * 300e-9 * P.contrast_C
         expected = (1.0 / dsdb) * math.sqrt(8 * (T_FIG2 + 300e-9))
         assert sensitivity(P, c, sigma_read=1.0) == pytest.approx(expected, rel=1e-12)
+
+    def test_ramsey_closed_form_value(self):
+        # one Ramsey pass accumulates half the differential phase: gain 1/2,
+        # one resource per cycle
+        c = ProtocolConfig(Protocol.RAMSEY_SQL, 1, 300e-9, T_FIG2, 0.0)
+        dsdb = envelope_ramsey(P, 300e-9) * 0.5 * 2 * P.gamma_e * 300e-9 * P.contrast_C
+        expected = (1.0 / dsdb) * math.sqrt(T_FIG2 + 300e-9)
+        assert sensitivity(P, c, sigma_read=1.0) == pytest.approx(expected, rel=1e-12)
