@@ -37,7 +37,6 @@ from .measurement import (
     photon_shot_noise,
     plan_acquisition,
     read_ensemble_csv,
-    with_seed,
     write_ensemble_csv,
 )
 from .sensor import (

@@ -122,8 +122,7 @@ def decompose_error(e: PhaseEnsemble, truth: WaveformSpec, p: SensorParams) -> E
     # Eq-level cross-check: (1/n_cols) sum_j sum_i int (phi_ij - phi)^2 dt/T,
     # expanded per bin as W mean_j phi_ij^2 - 2 phi_bar_i int phi + int phi^2
     edges = SampleGrid(truth.period_T, e.n1).edges
-    int_phi = -2.0 * p.gamma_e * e.t_s * np.array(
-        [integrate(truth, t0, t1) for t0, t1 in zip(edges[:-1], edges[1:])])
+    int_phi = -2.0 * p.gamma_e * e.t_s * integrate(truth, edges[:-1], edges[1:])
     cross = (np.diff(edges) * (est**2).mean(axis=1) - 2.0 * phi_bar * int_phi) / truth.period_T
     delta_sq_direct = float(np.sum(cross + _hold_error_sq(truth, p, e.t_s, np.zeros(e.n1))))
 

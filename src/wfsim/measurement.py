@@ -16,7 +16,7 @@ import itertools
 import json
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -159,15 +159,6 @@ def _signal(kind: Protocol, phases, env: float, k: int) -> tuple[np.ndarray, flo
     return env * np.stack([x, y], axis=-1), gain
 
 
-def _centered_window_phases(w: WaveformSpec, p: SensorParams, instants,
-                            t_s: float) -> np.ndarray:
-    """Exact differential phase with the sampling window centered on each t_i."""
-    return np.array([
-        -2.0 * p.gamma_e * integrate(w, t_i - t_s / 2.0, t_i + t_s / 2.0)
-        for t_i in instants
-    ])
-
-
 def acquire(kind: Protocol, w: WaveformSpec, p: SensorParams, m: ReadoutModel,
             n1: int, n2: int, t_s: float, n_batches: int = 1,
             t_i: float | None = None) -> PhaseEnsemble:
@@ -234,16 +225,19 @@ def plan_acquisition(kind: Protocol, w: WaveformSpec, p: SensorParams, n1: int, 
         k, n_cols = n2 // 2, n_batches
         meta.update(k=k, n_batches=n_batches)
     grid = SampleGrid(T, n1)
-    instants = grid.instants
+    instants = np.asarray(grid.instants)
     if t_i is not None:
         if n1 != 1:
             raise ValueError(f"t_i sets the one instant of an n1 = 1 ensemble, got n1 = {n1}")
         if not (0 <= t_i - t_s / 2 and t_i + t_s / 2 <= T):
             raise ValueError(f"window [t_i - t_s/2, t_i + t_s/2] around t_i = {t_i!r} "
                              f"leaves [0, T = {T!r}]")
-        instants = [t_i]
+        instants = np.array([t_i])
         meta["t_i"] = t_i
-    phases = _centered_window_phases(w, p, instants, t_s)
+    # exact differential phase of the sampling window centred on each instant; a
+    # gamma_e near the float range makes it non-finite, which _signal rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = -2.0 * p.gamma_e * integrate(w, instants - t_s / 2.0, instants + t_s / 2.0)
     signal, gain = _signal(kind, phases, envelope(kind, p, k, t_s, T), k)
     signal.flags.writeable = False
     return AcquisitionPlan(kind=kind, p=p, n2=n2, t_s=t_s, n_cols=n_cols, grid=grid,
@@ -509,10 +503,3 @@ def read_ensemble_csv(path) -> PhaseEnsemble:
                          f"cell ({mi + 1}, {mj + 1}) is missing")
     return PhaseEnsemble(n1=n1, n2=meta["n2"], estimates=estimates, grid=grid,
                          t_s=meta["t_s"], protocol=meta["protocol"], meta=meta)
-
-
-def with_seed(m: ReadoutModel, *entropy) -> ReadoutModel:
-    """Derive a child readout model with the sub-seed
-    ``SeedSequence([m.seed, *entropy]).generate_state(1, np.uint64)[0]``."""
-    return replace(m, seed=int(np.random.SeedSequence([m.seed, *entropy])
-                               .generate_state(1, np.uint64)[0]))

@@ -9,7 +9,7 @@ tesla).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,14 @@ class WaveformSpec:
     triples giving b(t) = sum_m A_m * sin(2*pi*m*t/T + psi_m); the
     parametric form is evaluated periodically for any t.  Tabulated mode
     holds strictly increasing (t, b) pairs on [0, T] and interpolates
-    linearly between them.
+    linearly between them; ``knots`` holds them as a read-only (2, K) array
+    of times and values, built once (None for harmonics).
     """
 
     period_T: float
     components: tuple[tuple[float, int, float], ...] | None = None
     tabulated: tuple[tuple[float, float], ...] | None = None
+    knots: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if not 0 < self.period_T < math.inf:
@@ -57,10 +59,12 @@ class WaveformSpec:
             if len(tab) < 2:
                 raise ValueError("tabulated waveform needs at least two samples")
             object.__setattr__(self, "tabulated", tab)
-            ts, _ = _knots(self)
-            if np.any(np.diff(ts) <= 0):
+            knots = np.array(tab).T.copy()
+            knots.flags.writeable = False
+            object.__setattr__(self, "knots", knots)
+            if np.any(np.diff(knots[0]) <= 0):
                 raise ValueError("tabulated times must be strictly increasing")
-            if ts[0] < 0 or ts[-1] > self.period_T:
+            if knots[0, 0] < 0 or knots[0, -1] > self.period_T:
                 raise ValueError("tabulated times must lie in [0, period_T]")
         values = self.components if self.tabulated is None else self.tabulated
         if not np.isfinite(values).all():
@@ -112,10 +116,6 @@ class SampleGrid:
         return tuple((i + 0.5) * self.period_T / self.n1 for i in range(self.n1))
 
     @property
-    def window_width(self) -> float:
-        return self.period_T / self.n1
-
-    @property
     def edges(self) -> np.ndarray:
         """Window ends i*T/n1, i = 0..n1, from exactly 0 to exactly T."""
         return self.period_T * (np.arange(self.n1 + 1) / self.n1)
@@ -129,14 +129,9 @@ def _eval_parametric(w: WaveformSpec, t):
     return out
 
 
-def _knots(w: WaveformSpec) -> np.ndarray:
-    """Knot times and values of a tabulated waveform, as the rows of a (2, n) array."""
-    return np.array(w.tabulated).T
-
-
 def _eval_tabulated(w: WaveformSpec, t):
     t = np.asarray(t, dtype=float)
-    ts, bs = _knots(w)
+    ts, bs = w.knots
     if np.any(t < ts[0]) or np.any(t > ts[-1]):
         raise DomainError(
             f"t outside tabulated range [{ts[0]:g}, {ts[-1]:g}]"
@@ -161,30 +156,47 @@ def _eval_periodic(w: WaveformSpec, t):
     if w.components is not None:
         return _eval_parametric(w, t)
     # np.interp clamps the wrap point onto the tabulated range
-    return np.interp(t, *_knots(w))
+    return np.interp(t, *w.knots)
 
 
-def integrate(w: WaveformSpec, t0: float, t1: float) -> float:
-    """Integral of b(t) dt over [t0, t1] in tesla*seconds.
+def _split_table(w: WaveformSpec, ends):
+    """Split a table at its knots and the window ends: the sorted piece ends x
+    (the union of both), b(x), and the index of each window end in x."""
+    x = np.union1d(w.knots[0], ends)
+    return x, _eval_tabulated(w, x), np.searchsorted(x, ends)
 
-    Closed-form antiderivative for parametric components.  Tabulated
-    waveforms are linear between knots, so the trapezoid sum over the
-    window ends and the knots inside the window is exact.
+
+def integrate(w: WaveformSpec, t0, t1):
+    """Integral of b(t) dt over each window [t0, t1] in tesla*seconds.
+
+    t0 and t1 are scalar window ends, which give a float, or arrays of them
+    that broadcast together, which give one integral per window.  Harmonics
+    use their closed-form antiderivative.  A table is linear between knots:
+    the one table splitter, which ``hold_error`` shares, cuts it at the knots
+    and all window ends, and each window sums the exact trapezoids of its own
+    pieces, never a difference of a global antiderivative, which would cancel
+    digits on a short window.
     """
-    if t0 > t1:
-        raise ValueError(f"t0 must be <= t1, got {t0} > {t1}")
-    if t0 == t1:
-        return 0.0
+    t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+    if (t0 > t1).any():
+        k = np.argmax(t0 > t1)
+        raise ValueError(f"t0 must be <= t1, got {t0.flat[k]} > {t1.flat[k]}")
     if w.components is not None:
-        total = 0.0
+        total = np.zeros(t0.shape)
         for a, m, psi in w.components:
             omega = 2.0 * np.pi * m / w.period_T
-            total += (a / omega) * (math.cos(omega * t0 + psi) - math.cos(omega * t1 + psi))
-        return total
-    ts, _ = _knots(w)
-    x = np.concatenate(([t0], ts[(ts > t0) & (ts < t1)], [t1]))
-    y = _eval_tabulated(w, x)
-    return float(0.5 * np.sum(np.diff(x) * (y[:-1] + y[1:])))
+            total = total + (a / omega) * (np.cos(omega * t0 + psi) - np.cos(omega * t1 + psi))
+    else:
+        x, y, ends = _split_table(w, np.stack([t0, t1], axis=-1).ravel())
+        # reduceat over the interleaved (start, end) indices sums each window's
+        # pieces from a 0 inserted before its first one: a zero-width window
+        # gives 0, and the pieces group as np.sum groups them.  A trailing 0
+        # keeps an end at x[-1] a valid index
+        at = np.unique(ends[0::2])
+        pieces = np.insert(np.append(np.diff(x) * (y[:-1] + y[1:]), 0.0), at, 0.0)
+        sums = np.add.reduceat(pieces, ends + np.searchsorted(at, ends))[0::2]
+        total = 0.5 * sums.reshape(t0.shape)
+    return float(total) if total.ndim == 0 else total
 
 
 def _one_minus_sinc(x):
@@ -202,7 +214,8 @@ def hold_error(w: WaveformSpec, held) -> np.ndarray:
     held is a (..., n1) stack of values in tesla, held_i on the i-th of the n1
     windows [i T/n1, (i+1) T/n1] that tile [0, T]; the result has its shape.
     Both forms are exact up to rounding and centre the error before squaring.
-    A table is linear between the knots and the window edges, so it is summed
+    A table is linear between the knots and the window edges, so it is split
+    there by the one table splitter that ``integrate`` uses too, and summed
     piece by piece.  A harmonic component m is expanded about each window's
     midpoint mu as P_m cos(w_m s) + Q_m sin(w_m s), s = t - mu, and the
     integrals of the products of (cos(w_m s) - 1) and sin(w_m s) over the
@@ -214,10 +227,7 @@ def hold_error(w: WaveformSpec, held) -> np.ndarray:
     n1 = held.shape[-1]
     edges = SampleGrid(w.period_T, n1).edges
     if w.components is None:
-        ts, _ = _knots(w)
-        x = np.union1d(edges, ts)
-        y = _eval_tabulated(w, x)
-        starts = np.searchsorted(x, edges)
+        x, y, starts = _split_table(w, edges)
         c = np.repeat(held, np.diff(starts), axis=-1)
         u0, u1 = y[:-1] - c, y[1:] - c
         pieces = np.diff(x) / 3.0 * (u0 * u0 + u0 * u1 + u1 * u1)

@@ -271,6 +271,22 @@ class TestSimulate:
         assert ens.estimates.shape == (1, 4)
         assert ens.meta["t_i"] == pytest.approx(450e-9)
 
+    @pytest.mark.parametrize("amplitude, gamma_e", [("1e17", "1e300"), ("0.0", "1e308")],
+                             ids=["overflow", "inf-times-zero"])
+    def test_non_finite_window_phase_exits_1_without_a_warning(self, tmp_path, capsys,
+                                                              amplitude, gamma_e):
+        # -2 gamma_e * int b over all windows at once overflows, or meets an
+        # exactly zero window integral at -2 gamma_e = -inf
+        path = tmp_path / "exp.yaml"
+        path.write_text(GOOD_CONFIG.replace("5.906e-7", amplitude)
+                        .replace("sensor:\n", f"sensor:\n  gamma_e: {gamma_e}\n"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert [str(w.message) for w in caught] == []
+        assert "outside the atan2 branch" in capsys.readouterr().err
+
     def test_zero_field_gives_zero_phases(self, tmp_path):
         path = tmp_path / "zero.yaml"
         path.write_text(

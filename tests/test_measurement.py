@@ -26,7 +26,6 @@ from wfsim import (
     photon_shot_noise,
     plan_acquisition,
     read_ensemble_csv,
-    with_seed,
     write_ensemble_csv,
 )
 from wfsim.measurement import (
@@ -342,11 +341,6 @@ class TestEnsembles:
         b = acquire(Protocol.RAMSEY_SQL, tone(), P, ReadoutModel(seed=6), 8, 8, 150e-9)
         assert not np.array_equal(a.estimates, b.estimates)
 
-    def test_with_seed_is_deterministic_and_distinct(self):
-        m = ReadoutModel(seed=3)
-        assert with_seed(m, 1, 2).seed == with_seed(m, 1, 2).seed
-        assert with_seed(m, 1, 2).seed != with_seed(m, 1, 3).seed
-
     def test_sql_per_entry_noise_calibration(self):
         # std of a single-resource entry ~ sigma_ref (doubled convention)
         w = WaveformSpec.harmonic(T_FIG4, 0.01e-9)
@@ -475,18 +469,8 @@ class TestPlannedAcquisition:
             plan_acquisition(Protocol.PDD_TDQD, tone(5e-6), P_INF, 8, 40, 150e-9)
 
 
-def _seed_sequence_key(*entropy) -> int:
-    return int(np.random.SeedSequence(list(entropy)).generate_state(1, np.uint64)[0])
-
-
 class TestSeedKeys:
-    """with_seed is SeedSequence, and a re-keyed Philox a fresh, jumped one."""
-
-    @pytest.mark.parametrize("entropy", [(), (5,), (140, 3), (2**40, 2**33), (2**70, 0, 1)])
-    def test_with_seed_equals_seed_sequence(self, entropy):
-        for seed in (0, 7, 2**64 - 1):
-            assert with_seed(ReadoutModel(seed=seed), *entropy).seed == \
-                _seed_sequence_key(seed, *entropy)
+    """A re-keyed Philox is a fresh, jumped one."""
 
     @pytest.mark.parametrize("draw", [
         lambda g: g.standard_normal((3, 5, 2)),

@@ -1,3 +1,5 @@
+import bisect
+import dataclasses
 import math
 import os
 import subprocess
@@ -54,6 +56,24 @@ def trapezoid_oracle(w, t0, t1):
     return float(total)
 
 
+def fraction_window_integrals(w, edges):
+    """Exact rational integral of the table over each window between consecutive
+    edges: an exact antiderivative at each edge, differenced in Fractions."""
+    ts = [Fraction(t) for t, _ in w.tabulated]
+    bs = [Fraction(b) for _, b in w.tabulated]
+    F = [Fraction(0)]
+    for j in range(len(ts) - 1):
+        F.append(F[-1] + (ts[j + 1] - ts[j]) * (bs[j] + bs[j + 1]) / 2)
+
+    def antiderivative(e):
+        j = min(bisect.bisect_right(ts, e) - 1, len(ts) - 2)
+        be = bs[j] + (bs[j + 1] - bs[j]) / (ts[j + 1] - ts[j]) * (e - ts[j])
+        return F[j] + (e - ts[j]) * (bs[j] + be) / 2
+
+    Fe = [antiderivative(Fraction(e)) for e in edges]
+    return [b - a for a, b in zip(Fe, Fe[1:])]
+
+
 class TestEvaluate:
     def test_single_component_at_zero(self):
         w = WaveformSpec.harmonic(T_FIG2, 1e-6)
@@ -93,6 +113,17 @@ class TestSpecValidation:
     def test_rejects_non_increasing_table(self):
         with pytest.raises(ValueError):
             WaveformSpec.from_table(1e-6, [0.0, 0.5e-6, 0.5e-6], [0, 1, 2])
+
+    def test_knots_are_read_only_and_outside_equality(self):
+        w = WaveformSpec.from_table(1e-6, [0.0, 0.5e-6, 1e-6], [0.0, 1e-6, 0.0])
+        assert w.knots.tolist() == [[0.0, 0.5e-6, 1e-6], [0.0, 1e-6, 0.0]]
+        with pytest.raises(ValueError):
+            w.knots[1, 0] = 1.0
+        twin = WaveformSpec.from_table(1e-6, [0.0, 0.5e-6, 1e-6], [0.0, 1e-6, 0.0])
+        assert twin == w and hash(twin) == hash(w) and "knots" not in repr(w)
+        moved = dataclasses.replace(w, tabulated=((0.0, 1e-6), (1e-6, 0.0)))
+        assert moved.knots.tolist() == [[0.0, 1e-6], [1e-6, 0.0]]
+        assert WaveformSpec.harmonic(1e-6, 1e-6).knots is None
 
     def test_rejects_table_outside_period(self):
         with pytest.raises(ValueError):
@@ -159,15 +190,85 @@ class TestIntegrate:
             oracle = trapezoid_oracle(w, t0, t1)
             assert integrate(w, t0, t1) == pytest.approx(oracle, rel=1e-14, abs=1e-30)
 
-    def test_tabulated_past_last_knot_raises(self):
+    @pytest.mark.parametrize("t0, t1", [(0.4e-6, 0.6e-6), ([0.0, 0.4e-6], [0.1e-6, 0.6e-6])],
+                             ids=["scalar", "array"])
+    def test_tabulated_past_last_knot_raises(self, t0, t1):
         w = WaveformSpec.from_table(1e-6, [0.0, 0.5e-6], [0.0, 1e-6])
         with pytest.raises(DomainError):
-            integrate(w, 0.4e-6, 0.6e-6)
+            integrate(w, t0, t1)
 
-    def test_rejects_reversed_bounds(self):
-        w = WaveformSpec.harmonic(T_FIG2, 1e-6)
+    @pytest.mark.parametrize("w", [WaveformSpec.harmonic(T_FIG2, 1e-6), kinked_table()],
+                             ids=["tone", "table"])
+    def test_rejects_reversed_bounds(self, w):
         with pytest.raises(ValueError):
             integrate(w, 1e-6, 0.0)
+        # any one reversed window of an array is named
+        with pytest.raises(ValueError, match="t0 must be <= t1, got 3e-06 > 2e-06"):
+            integrate(w, [0.0, 1e-6, 3e-6], [1e-6, 2e-6, 2e-6])
+
+    @pytest.mark.parametrize("w", [fig4_waveform(1e-6), kinked_table()], ids=["tone", "table"])
+    def test_scalar_window_gives_a_float(self, w):
+        assert type(integrate(w, 1e-6, 2e-6)) is float
+        assert type(integrate(w, np.float64(1e-6), np.array(2e-6))) is float
+        assert integrate(w, [1e-6], [2e-6]).shape == (1,)
+
+    def test_tone_array_equals_scalar_calls_bit_for_bit(self):
+        w = fig4_waveform(1e-6)
+        rng = np.random.default_rng(11)
+        t0, t1 = np.sort(rng.uniform(0, T_FIG4, (2, 40)), axis=0)
+        t1[:3] = t0[:3]  # zero width
+        out = integrate(w, t0, t1)
+        assert out.shape == (40,)
+        assert out.tolist() == [integrate(w, a, b) for a, b in zip(t0.tolist(), t1.tolist())]
+        # window ends broadcast: a (4, 10) stack of windows from one start
+        grid = t1.reshape(4, 10)
+        assert integrate(w, 0.0, grid).tolist() == \
+            [[integrate(w, 0.0, b) for b in row] for row in grid.tolist()]
+
+    def test_table_array_matches_exact_trapezoid_oracle(self):
+        w = kinked_table()
+        knots = [t for t, _ in w.tabulated]
+        rng = np.random.default_rng(4)
+        windows = [sorted(rng.uniform(0, T_FIG4, 2)) for _ in range(20)]  # overlapping
+        windows += [(knots[3], knots[3]), (0.0, 0.0), (T_FIG4, T_FIG4), (2e-6, 2e-6)]  # zero width
+        windows += [(knots[1], knots[5]), (knots[2], knots[3]), (0.0, knots[4])]  # ends on knots
+        windows += [(knots[6] + 1e-9, T_FIG4), (0.0, T_FIG4)]  # ending at T
+        t0, t1 = np.array(windows).T
+        out = integrate(w, t0, t1)
+        for got, (a, b) in zip(out, windows):
+            assert got == pytest.approx(trapezoid_oracle(w, a, b), rel=1e-14, abs=1e-30)
+        assert out[20:24].tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("n1", [1, 3, 40, 257, 1000])
+    def test_table_windows_equal_np_sum_trapezoids_bit_for_bit(self, n1):
+        # a window that holds no other window's end sums its own trapezoids in
+        # np.sum's order, so hold windows and centred sampling windows keep
+        # the bits of a per-window np.sum
+        w = kinked_table()
+        ts, bs = w.knots
+        edges = SampleGrid(T_FIG4, n1).edges
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        for t0, t1 in ((edges[:-1], edges[1:]), (mids - 0.2 * edges[1], mids + 0.2 * edges[1])):
+            want = []
+            for a, b in zip(t0, t1):
+                x = np.concatenate(([a], ts[(ts > a) & (ts < b)], [b]))
+                y = np.interp(x, ts, bs)
+                want.append(0.5 * np.sum(np.diff(x) * (y[:-1] + y[1:])))
+            assert integrate(w, t0, t1).tolist() == want
+
+    @pytest.mark.parametrize("n1", [1, 10, 40, 140, 1000])
+    def test_random_walk_matches_fraction_oracle(self, n1):
+        # the seed-5 random walk kinks at every knot.  Each hold window agrees
+        # with the exact rational integral to a few ulps of max|b| times its
+        # width; differencing a float antiderivative F(t1) - F(t0) would be off
+        # by ulps of F, up to n1 times more
+        rng = np.random.default_rng(5)
+        w = WaveformSpec.from_table(T_FIG4, np.linspace(0.0, T_FIG4, 257),
+                                    1e-7 * np.cumsum(rng.standard_normal(257)))
+        edges = SampleGrid(T_FIG4, n1).edges
+        exact = np.array([float(x) for x in fraction_window_integrals(w, edges)])
+        err = np.abs(integrate(w, edges[:-1], edges[1:]) - exact)
+        assert err.max() <= 4 * 2.2e-16 * np.abs(w.knots[1]).max() * (T_FIG4 / n1)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=T_FIG4), min_size=3, max_size=3))
     @settings(max_examples=50, deadline=None)
@@ -215,9 +316,11 @@ class TestMakeGrid:
     @pytest.mark.parametrize("n1", [1, 2, 7, 16, 64])
     def test_windows_tile_period(self, n1):
         g = SampleGrid(T_FIG4, n1)
-        edges = [t - g.window_width / 2 for t in g.instants] + [T_FIG4]
+        edges = g.edges
         assert edges[0] == pytest.approx(0.0, abs=1e-20)
         assert np.allclose(np.diff(edges), T_FIG4 / n1)
+        # each hold window is centred on its instant
+        assert np.allclose(0.5 * (edges[:-1] + edges[1:]), g.instants)
 
 
 class TestHoldError:
