@@ -83,9 +83,10 @@ def _hold_error_sq(truth: WaveformSpec, p: SensorParams, t_s: float, phi_held):
     """(1/T) int (phi_held_i - phi(t))^2 dt over each hold window, in rad^2.
 
     The windows are integrated in tesla, so a tiny gamma_e * t_s can overflow
-    the squares before the rescale; that raises ValueError, not a nan score."""
-    scale = (2.0 * p.gamma_e * t_s) ** 2 / truth.period_T
+    the squares before the rescale, and a huge one the rescale itself; either
+    raises ValueError, not a nan score or an OverflowError."""
     with np.errstate(all="ignore"):
+        scale = np.float64(2.0 * p.gamma_e * t_s) ** 2 / truth.period_T
         err = scale * hold_error(truth, phase_to_tesla(phi_held, p, t_s))
     if not np.isfinite(err).all():
         raise ValueError(f"the hold error, integrated in tesla, is not finite: held phases up "

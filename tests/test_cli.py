@@ -651,11 +651,14 @@ class TestScaling:
             for N, n1, n2 in ((140, 10, 14), (560, 20, 28), (2240, 40, 56))]
 
     @pytest.mark.parametrize("config", ["sensor:\n  gamma_e: 1e-300\n",
-                                        "protocol:\n  t_s: 1e-300\n"],
-                             ids=["gamma_e", "t_s"])
+                                        "protocol:\n  t_s: 1e-300\n",
+                                        WAVEFORM.replace("5.906e-7", "0.0")
+                                        + "sensor:\n  gamma_e: 1e300\n"],
+                             ids=["gamma_e", "t_s", "zero-field-huge-gamma_e"])
     def test_hold_error_overflowing_in_tesla_exits_1(self, tmp_path, capsys, config):
         # the scores squared phi / (2 gamma_e t_s): four RuntimeWarnings, then
-        # slope=nan, nan deltas in the CSV and exit 0
+        # slope=nan, nan deltas in the CSV and exit 0; a zero field at a huge
+        # gamma_e passes the phase check, and its rescale raised OverflowError
         path = tmp_path / "exp.yaml"
         path.write_text(config)
         out = tmp_path / "run"

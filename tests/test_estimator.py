@@ -224,11 +224,12 @@ class TestReconError:
             recon_error_sq(np.zeros(shape), tone(), P, T_S)
 
     @pytest.mark.parametrize("gamma_e, t_s", [(1e-300, T_S), (P.gamma_e, 1e-300),
-                                              (1e-300, 1e-300)],
-                             ids=["gamma_e", "t_s", "both"])
+                                              (1e-300, 1e-300), (1e300, T_S)],
+                             ids=["gamma_e", "t_s", "both", "huge-gamma_e"])
     def test_overflow_in_tesla_units_raises(self, gamma_e, t_s):
         # the windows are integrated in tesla: phi / (2 gamma_e t_s) squared used
-        # to overflow into a nan score after numpy RuntimeWarnings
+        # to overflow into a nan score after numpy RuntimeWarnings, and the
+        # rescale (2 gamma_e t_s)^2 at a huge gamma_e raised OverflowError
         p = dataclasses.replace(P, gamma_e=gamma_e)
         with pytest.raises(ValueError, match="hold error, integrated in tesla, is not finite"):
             recon_error_sq(np.full((3, 4), 0.01), tone(), p, t_s)
