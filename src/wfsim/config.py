@@ -8,10 +8,11 @@ rejected, and a value of the wrong type raises ``ConfigError`` naming
 
 from __future__ import annotations
 
-import csv
 import os
+import warnings
 from dataclasses import dataclass, field, fields
 
+import numpy as np
 import yaml
 
 from .errors import ConfigError
@@ -71,15 +72,33 @@ def _component(amplitude, harmonic=1, phase=0.0):
     return amplitude, harmonic, phase
 
 
-def _table(path) -> tuple:
+def _misshapen_line(path) -> int | None:
+    """Number of the first line of a table file whose row, once its comment is
+    cut off, is neither empty nor two fields."""
+    with open(path, encoding="latin-1") as fh:
+        rows = (line.split("#", 1)[0].rstrip("\r\n") for line in fh)
+        return next((n for n, row in enumerate(rows, 1) if row and row.count(",") != 1), None)
+
+
+def _table(path) -> np.ndarray:
+    """The (2, K) times and values of a table file of "t, b" rows, in one numpy
+    parse: '#' starts a comment, and a line empty once it is cut off is skipped."""
     if not isinstance(path, str):
         raise ValueError(f"expected a file path, got {path!r}")
     try:
-        with open(path, newline="") as fh:
-            return tuple((float(r[0]), float(r[1])) for r in csv.reader(fh)
-                         if r and not r[0].lstrip().startswith("#"))
-    except (OSError, ValueError, IndexError) as exc:
+        with warnings.catch_warnings():
+            # a file without rows loads empty, and WaveformSpec rejects it for its size
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(path, delimiter=",", ndmin=2)
+        if rows.size and rows.shape[1] != 2:
+            raise ValueError(f"{rows.shape[1]} columns")
+    except OSError as exc:
         raise ValueError(f"cannot load waveform csv {path!r}: {exc}") from exc
+    except ValueError as exc:
+        line = _misshapen_line(path)
+        reason = exc if line is None else f"line {line} does not hold exactly two fields (t, b)"
+        raise ValueError(f"cannot load waveform csv {path!r}: {reason}") from exc
+    return rows.reshape(-1, 2).T  # (K, 2) rows, or (0, 1) from a file without rows
 
 
 # section: (builder, {YAML key: (field, converter)})
@@ -87,7 +106,7 @@ _SECTIONS = {
     "waveform": (WaveformSpec, {"period": ("period_T", _real),
                                 "components": ("components",
                                                _list(lambda c: _section("component", c))),
-                                "csv": ("tabulated", _table)}),
+                                "csv": ("knots", _table)}),
     "component": (_component, {"amplitude": ("amplitude", _real),
                                "harmonic": ("harmonic", _integer), "phase": ("phase", _real)}),
     "sensor": (SensorParams, {"gamma_e": ("gamma_e", _real), "t2_star": ("T2_star", _real),

@@ -8,6 +8,7 @@ tesla).
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -28,47 +29,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WaveformSpec:
-    """Signal b(t) on [0, T]: harmonic components or tabulated samples.
+    """Signal b(t) on [0, T]: harmonic components or a table of knots.
 
     Components are (amplitude_tesla, harmonic_index, phase_offset_rad)
     triples giving b(t) = sum_m A_m * sin(2*pi*m*t/T + psi_m); the
-    parametric form is evaluated periodically for any t.  Tabulated mode
-    holds strictly increasing (t, b) pairs on [0, T] and interpolates
-    linearly between them; ``knots`` holds them as a read-only (2, K) array
-    of times and values, built once (None for harmonics).
+    parametric form is evaluated periodically for any t.  A table is held
+    only in ``knots``, a read-only C-ordered (2, K) float array: row 0 holds
+    K >= 2 strictly increasing times in [0, T], row 1 their values, and b is
+    linear between knots.  Any (2, K) array-like is copied in; ``knots`` is
+    None for harmonics.  ``knots_sha256``, the SHA-256 of the knot bytes,
+    stands in for the array in equality and hashing, so two tables are
+    equal exactly when their bits are.
     """
 
     period_T: float
     components: tuple[tuple[float, int, float], ...] | None = None
-    tabulated: tuple[tuple[float, float], ...] | None = None
-    knots: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    knots: np.ndarray | None = field(default=None, repr=False, compare=False)
+    knots_sha256: str | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.period_T < math.inf:
             raise ValueError(f"period_T must be finite and positive, got {self.period_T}")
-        if (self.components is None) == (self.tabulated is None):
-            raise ValueError("exactly one of components/tabulated must be given")
+        if (self.components is None) == (self.knots is None):
+            raise ValueError("exactly one of components/knots must be given")
         if self.components is not None:
             comps = tuple((float(a), int(m), float(psi)) for a, m, psi in self.components)
             for _, m, _ in comps:
                 if m < 1:
                     raise ValueError(f"harmonic index must be >= 1, got {m}")
+            if not np.isfinite(comps).all():
+                raise ValueError("amplitudes and phases must be finite")
             object.__setattr__(self, "components", comps)
-        else:
-            tab = tuple((float(t), float(b)) for t, b in self.tabulated)
-            if len(tab) < 2:
-                raise ValueError("tabulated waveform needs at least two samples")
-            object.__setattr__(self, "tabulated", tab)
-            knots = np.array(tab).T.copy()
-            knots.flags.writeable = False
-            object.__setattr__(self, "knots", knots)
-            if np.any(np.diff(knots[0]) <= 0):
-                raise ValueError("tabulated times must be strictly increasing")
-            if knots[0, 0] < 0 or knots[0, -1] > self.period_T:
-                raise ValueError("tabulated times must lie in [0, period_T]")
-        values = self.components if self.tabulated is None else self.tabulated
-        if not np.isfinite(values).all():
-            raise ValueError("amplitudes, phases and tabulated samples must be finite")
+            return
+        knots = np.array(self.knots, dtype=float, order="C")
+        if knots.ndim != 2 or len(knots) != 2:
+            raise ValueError(f"knots must be a (2, K) array, got shape {knots.shape}")
+        if knots.shape[1] < 2:
+            raise ValueError("tabulated waveform needs at least two samples")
+        if not np.isfinite(knots).all():
+            raise ValueError("tabulated times and samples must be finite")
+        if np.any(np.diff(knots[0]) <= 0):
+            raise ValueError("tabulated times must be strictly increasing")
+        if knots[0, 0] < 0 or knots[0, -1] > self.period_T:
+            raise ValueError("tabulated times must lie in [0, period_T]")
+        knots.flags.writeable = False
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "knots_sha256", hashlib.sha256(knots).hexdigest())
 
     @classmethod
     def harmonic(cls, period_T, amplitude, harmonic=1, phase=0.0):
@@ -77,7 +83,7 @@ class WaveformSpec:
 
     @classmethod
     def from_table(cls, period_T, times, values):
-        return cls(period_T=period_T, tabulated=tuple(zip(times, values)))
+        return cls(period_T=period_T, knots=(times, values))
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,8 @@ waveform:
     - {amplitude: 5.906e-7, harmonic: 1}
 """
 
+TABLE_CONFIG = "waveform:\n  period: 9.6e-6\n  csv: table.csv\n"
+
 
 @pytest.fixture
 def cfg_path(tmp_path):
@@ -103,7 +105,7 @@ class TestConfig:
         path = tmp_path / "exp.yaml"
         path.write_text(f"waveform:\n  period: 9.6e-6\n  csv: {table}\n")
         cfg = load_config(path)
-        assert cfg.waveform.tabulated is not None
+        assert cfg.waveform.knots is not None
 
     def test_waveform_csv_relative_to_the_config(self, tmp_path, monkeypatch, capsys):
         # a relative csv path names a file next to the config, whatever the cwd
@@ -112,9 +114,16 @@ class TestConfig:
         (sub / "t.csv").write_text("0.0,0.0\n4.8e-6,1e-6\n9.6e-6,0.0\n")
         (sub / "tab.yaml").write_text("waveform:\n  period: 9.6e-6\n  csv: t.csv\n")
         monkeypatch.chdir(tmp_path)
-        assert load_config("sub/tab.yaml").waveform.tabulated[1] == (4.8e-6, 1e-6)
+        assert tuple(load_config("sub/tab.yaml").waveform.knots[:, 1]) == (4.8e-6, 1e-6)
         assert main(["holder", "--config", "sub/tab.yaml"]) == 0
         assert capsys.readouterr().out.startswith("q=1")
+
+    def test_table_comments_and_empty_lines_are_skipped(self, tmp_path):
+        (tmp_path / "t.csv").write_text("# t, b\n\n0.0,0.0  # start\n4.8e-6,1e-6\r\n\n"
+                                        "9.6e-6,0.0#end\n# done\n")
+        (tmp_path / "exp.yaml").write_text("waveform:\n  period: 9.6e-6\n  csv: t.csv\n")
+        w = load_config(tmp_path / "exp.yaml").waveform
+        assert w.knots.tolist() == [[0.0, 4.8e-6, 9.6e-6], [0.0, 1e-6, 0.0]]
 
     def test_waveform_csv_path_must_be_a_string(self, tmp_path):
         path = tmp_path / "exp.yaml"
@@ -154,18 +163,30 @@ class TestExitCodes:
         assert rc == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, message", [
-        (None, "cannot read config"),
-        ("waveform: [1, 2\n", "config parse error"),
-        ("waveform:\n  period: 9.6e-6\n  csv: table.csv\n", "at least two samples"),
-    ], ids=["no-such-file", "malformed-yaml", "one-row-table"])
-    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch, config, message):
+    @pytest.mark.parametrize("config, table, message", [
+        (None, "0,1e-7\n", "cannot read config"),
+        ("waveform: [1, 2\n", "0,1e-7\n", "config parse error"),
+        (TABLE_CONFIG, "0,1e-7\n", "at least two samples"),
+        (TABLE_CONFIG, "", "at least two samples"),
+        (TABLE_CONFIG, "# t, b\n\n# no rows\n", "at least two samples"),
+        (TABLE_CONFIG, "0,0,7\n1e-6,1,7\n", "table.csv': line 1 does not hold exactly two"),
+        (TABLE_CONFIG, "# t, b\n0,0\n\n1e-6,1,7\n", "table.csv': line 4 does not hold exactly two"),
+        (TABLE_CONFIG, "0,0\n1e-6\n", "table.csv': line 2 does not hold exactly two"),
+        (TABLE_CONFIG, "0,0,\n1e-6,1\n", "table.csv': line 1 does not hold exactly two"),
+    ], ids=["no-such-file", "malformed-yaml", "one-row-table", "empty-table",
+            "comment-only-table", "third-column", "third-field-in-one-row", "one-field-row",
+            "trailing-comma"])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, monkeypatch, config, table,
+                                       message):
+        # a row of other than two fields names its line; no numpy warning reaches stderr
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "table.csv").write_text("0,1e-7\n")
+        (tmp_path / "table.csv").write_text(table)
         if config is not None:
             (tmp_path / "exp.yaml").write_text(config)
         assert main(["simulate", "--config", "exp.yaml", "--out", "run"]) == 2
-        assert re.search(rf"^config error: .*{message}", capsys.readouterr().err, re.M)
+        err = capsys.readouterr().err
+        assert re.search(rf"^config error: .*{message}", err, re.M)
+        assert "Warning" not in err
         assert not (tmp_path / "run").exists()
 
     def test_missing_waveform_exits_2(self, tmp_path, capsys):

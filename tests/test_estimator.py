@@ -248,7 +248,7 @@ def random_walk_table():
 def fraction_hold_error(w, held):
     """Exact rational integral of (held_i - b(t))^2 dt over each window between
     the float edges i*T/n1, segment by segment of the piecewise-linear table."""
-    knots = [(Fraction(t), Fraction(b)) for t, b in w.tabulated]
+    knots = [(Fraction(t), Fraction(b)) for t, b in w.knots.T.tolist()]
     times = [t for t, _ in knots]
     edges = [Fraction(e) for e in SampleGrid(w.period_T, len(held)).edges]
     out = []

@@ -45,7 +45,7 @@ def kinked_table():
 
 def trapezoid_oracle(w, t0, t1):
     """Exact rational integral of the piecewise-linear table, segment by segment."""
-    knots = [(Fraction(t), Fraction(b)) for t, b in w.tabulated]
+    knots = [(Fraction(t), Fraction(b)) for t, b in w.knots.T.tolist()]
     a, z = Fraction(t0), Fraction(t1)
     total = Fraction(0)
     for (ta, ba), (tb, bb) in zip(knots, knots[1:]):
@@ -59,8 +59,8 @@ def trapezoid_oracle(w, t0, t1):
 def fraction_window_integrals(w, edges):
     """Exact rational integral of the table over each window between consecutive
     edges: an exact antiderivative at each edge, differenced in Fractions."""
-    ts = [Fraction(t) for t, _ in w.tabulated]
-    bs = [Fraction(b) for _, b in w.tabulated]
+    ts = [Fraction(t) for t in w.knots[0].tolist()]
+    bs = [Fraction(b) for b in w.knots[1].tolist()]
     F = [Fraction(0)]
     for j in range(len(ts) - 1):
         F.append(F[-1] + (ts[j + 1] - ts[j]) * (bs[j] + bs[j + 1]) / 2)
@@ -104,7 +104,7 @@ class TestSpecValidation:
             WaveformSpec(period_T=1e-6)
         with pytest.raises(ValueError):
             WaveformSpec(period_T=1e-6, components=((1e-6, 1, 0.0),),
-                         tabulated=((0.0, 0.0), (1e-6, 0.0)))
+                         knots=((0.0, 1e-6), (0.0, 0.0)))
 
     def test_rejects_nonpositive_period(self):
         with pytest.raises(ValueError):
@@ -114,16 +114,43 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             WaveformSpec.from_table(1e-6, [0.0, 0.5e-6, 0.5e-6], [0, 1, 2])
 
-    def test_knots_are_read_only_and_outside_equality(self):
+    def test_knots_are_read_only_and_equality_follows_their_bytes(self):
         w = WaveformSpec.from_table(1e-6, [0.0, 0.5e-6, 1e-6], [0.0, 1e-6, 0.0])
         assert w.knots.tolist() == [[0.0, 0.5e-6, 1e-6], [0.0, 1e-6, 0.0]]
         with pytest.raises(ValueError):
             w.knots[1, 0] = 1.0
         twin = WaveformSpec.from_table(1e-6, [0.0, 0.5e-6, 1e-6], [0.0, 1e-6, 0.0])
         assert twin == w and hash(twin) == hash(w) and "knots" not in repr(w)
-        moved = dataclasses.replace(w, tabulated=((0.0, 1e-6), (1e-6, 0.0)))
+        moved = dataclasses.replace(w, knots=((0.0, 1e-6), (1e-6, 0.0)))
         assert moved.knots.tolist() == [[0.0, 1e-6], [1e-6, 0.0]]
+        assert moved != w
+        assert dataclasses.replace(w, knots=((0.0, 0.5e-6, 1e-6), (0.0, 2e-6, 0.0))) != w
+        # -0.0 == 0.0, but its bits differ, so the table does too
+        assert dataclasses.replace(w, knots=((0.0, 0.5e-6, 1e-6), (-0.0, 1e-6, 0.0))) != w
         assert WaveformSpec.harmonic(1e-6, 1e-6).knots is None
+
+    def test_three_ways_of_building_a_table_agree(self, tmp_path):
+        ts = np.sort(np.random.default_rng(2).uniform(0.0, 1e-6, 50))
+        bs = np.random.default_rng(3).standard_normal(50) * 1e-7
+        rows = zip(ts.tolist(), bs.tolist())
+        (tmp_path / "t.csv").write_text("".join(f"{t!r},{b!r}\n" for t, b in rows))
+        (tmp_path / "exp.yaml").write_text("waveform:\n  period: 1e-6\n  csv: t.csv\n")
+        source = np.column_stack([ts, bs]).T  # a Fortran-ordered, writable view
+        specs = [WaveformSpec.from_table(1e-6, ts, bs),
+                 WaveformSpec(period_T=1e-6, knots=source),
+                 wfsim.load_config(tmp_path / "exp.yaml").waveform]
+        source[1, 0] = 1.0  # the spec holds a copy
+        for w in specs:
+            assert w == specs[0] and hash(w) == hash(specs[0])
+            assert w.knots.flags.c_contiguous and not w.knots.flags.writeable
+            assert w.knots.tobytes() == np.array([ts, bs]).tobytes()
+
+    @pytest.mark.parametrize("knots", [
+        [0.0, 1e-6], [[0.0, 1e-6]] * 3, [[[0.0, 1e-6]] * 2] * 2, ([0.0, 1e-6], [0.0]),
+    ], ids=["1-d", "three-rows", "3-d", "ragged"])
+    def test_rejects_knots_of_the_wrong_shape(self, knots):
+        with pytest.raises(ValueError):
+            WaveformSpec(period_T=1e-6, knots=knots)
 
     def test_rejects_table_outside_period(self):
         with pytest.raises(ValueError):
@@ -180,7 +207,7 @@ class TestIntegrate:
 
     def test_tabulated_matches_exact_trapezoid_oracle(self):
         w = kinked_table()
-        knots = [t for t, _ in w.tabulated]
+        knots = w.knots[0].tolist()
         rng = np.random.default_rng(3)
         # windows with partial segments at both ends, inside one segment,
         # on knots, and over the whole table
@@ -227,7 +254,7 @@ class TestIntegrate:
 
     def test_table_array_matches_exact_trapezoid_oracle(self):
         w = kinked_table()
-        knots = [t for t, _ in w.tabulated]
+        knots = w.knots[0].tolist()
         rng = np.random.default_rng(4)
         windows = [sorted(rng.uniform(0, T_FIG4, 2)) for _ in range(20)]  # overlapping
         windows += [(knots[3], knots[3]), (0.0, 0.0), (T_FIG4, T_FIG4), (2e-6, 2e-6)]  # zero width
